@@ -24,7 +24,7 @@ from .bounds import SeesawConfig, kprod_curve
 from .errors import CountsFormatError, NumericError, UsageError, ValidationError
 from .inference import (
     InferenceConfig,
-    _RecordEstimates,
+    PairEstimator,
     consistency_check,
     infer_structure,
     load_expectation_table,
@@ -55,7 +55,6 @@ from .tomo import (
 from .witnesses import (
     DEFAULT_GAMMA_GRID,
     DepthWitness,
-    ExpectationPair,
     SeparabilityWitness,
     depth_witness_value,
     kprod_bound_entry,
@@ -249,8 +248,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records = load_counts(args.counts)
-    est = _RecordEstimates(records)
+    est = PairEstimator(load_counts(args.counts))
     n = est.n
     everyone = tuple(range(1, n + 1))
 
@@ -258,33 +256,30 @@ def cmd_eval(args) -> int:
            "expectations": {}, "witnesses": {}}
     csv_rows = []
 
-    mz = est.mz(everyone)
-    mx = est.mx(everyone)
-    if mz is not None and mx is not None:
-        pair = ExpectationPair(mz.value, mx.value, mz.sigma, mx.sigma)
-        doc["expectations"]["MZ"] = {"value": mz.value, "sigma": mz.sigma}
-        doc["expectations"]["MX"] = {"value": mx.value, "sigma": mx.sigma}
-        csv_rows += [(everyone, "MZ", mz.value, mz.sigma),
-                     (everyone, "MX", mx.value, mx.sigma)]
+    def add_expectations(pair, first, second):
+        doc["expectations"][first] = {"value": pair.value_z_or_a,
+                                      "sigma": pair.sigma_z_or_a}
+        doc["expectations"][second] = {"value": pair.value_x_or_aprime,
+                                       "sigma": pair.sigma_x_or_aprime}
+        csv_rows.extend([(everyone, first, pair.value_z_or_a, pair.sigma_z_or_a),
+                         (everyone, second, pair.value_x_or_aprime,
+                          pair.sigma_x_or_aprime)])
+
+    pair = est.sep_pair(everyone)
+    if pair is not None:
+        add_expectations(pair, "MZ", "MX")
         wv = separability_witness_value(pair, args.alpha)
         doc["witnesses"]["separability"] = {
             "alpha": args.alpha, "value": wv.value, "sigma": wv.sigma,
             "sign": wv.sign, "bound_biseparable": msep_bound(args.alpha, 2),
         }
-        g = estimate_gammas(mz.value, mx.value, n)
+        g = estimate_gammas(pair.value_z_or_a, pair.value_x_or_aprime, n)
         doc["noise_fit"] = {"gamma_w": g.gamma_w, "gamma_d": g.gamma_d,
                             "valid": g.valid}
 
     pair_d = est.depth_pair()
     if pair_d is not None:
-        doc["expectations"]["A"] = {"value": pair_d.value_z_or_a,
-                                    "sigma": pair_d.sigma_z_or_a}
-        doc["expectations"]["APRIME"] = {"value": pair_d.value_x_or_aprime,
-                                         "sigma": pair_d.sigma_x_or_aprime}
-        csv_rows += [
-            (everyone, "A", pair_d.value_z_or_a, pair_d.sigma_z_or_a),
-            (everyone, "APRIME", pair_d.value_x_or_aprime, pair_d.sigma_x_or_aprime),
-        ]
+        add_expectations(pair_d, "A", "APRIME")
         wv = depth_witness_value(pair_d, args.gamma, n=n)
         doc["witnesses"]["depth"] = {
             "gamma": args.gamma, "value": wv.value, "sigma": wv.sigma,

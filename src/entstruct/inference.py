@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import CountsFormatError, UsageError
 from .states import Partition
@@ -29,11 +28,13 @@ from .tomo import (
 )
 from .witnesses import (
     DEFAULT_GAMMA_GRID,
+    KPROD_N,
+    Evidence,
     ExpectationPair,
-    depth_witness_value,
-    kprod_bound,
+    decide,
+    depth_scan,
+    intactness_scan,
     msep_bound,
-    optimal_alpha,
     separability_witness_value,
 )
 
@@ -54,11 +55,14 @@ ASSUMPTIONS = (
 class InferenceConfig:
     """Decision parameters for all three steps.
 
-    The default confidence is intentionally stricter than the 1-sigma
-    headline reporting of the witness module: the subset scan runs
-    hundreds of tests, and the full-system steps feed the scan, so a
-    uniform 3-sigma criterion keeps the family-wise false-accept rate
-    negligible.
+    The default confidence is stricter than the 1-sigma headline
+    reporting of the witness module because the subset scan runs many
+    tests.  Each test is one-sided: at 3 sigma a subset sitting exactly
+    on its bound is falsely accepted 0.135% of the time.  At n = 8 the
+    scan can run 246 subset tests (sizes 2..7) with no family-wise
+    correction, so the chance of at least one false accept is up to
+    1 - (1 - 0.00135)^246, about 28%.  A Holm step-down correction is
+    planned.
     """
 
     confidence_sigmas: float = 3.0
@@ -82,6 +86,9 @@ class TableEntry:
         parties = tuple(sorted(int(p) for p in self.parties))
         if not parties or len(set(parties)) != len(parties) or parties[0] < 1:
             raise UsageError(f"parties must be distinct positive ints, got {self.parties}")
+        for name in ("value", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise UsageError(f"sigma must be non-negative, got {self.sigma}")
         object.__setattr__(self, "parties", parties)
@@ -91,29 +98,49 @@ class TableEntry:
 class ExpectationTable:
     n: int
     entries: tuple[TableEntry, ...]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
+        index: dict[tuple[str, tuple[int, ...]], Estimate] = {}
         for e in entries:
             if e.parties[-1] > self.n:
                 raise UsageError(
                     f"entry {e.observable}{e.parties} exceeds n={self.n}"
                 )
+            if (e.observable, e.parties) in index:
+                raise UsageError(f"duplicate entry {e.observable}{e.parties}")
+            index[e.observable, e.parties] = Estimate(e.value, e.sigma)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_index", index)
 
     def lookup(self, observable: str, parties) -> Estimate | None:
-        key = tuple(sorted(int(p) for p in parties))
-        for e in self.entries:
-            if e.observable == observable and e.parties == key:
-                return Estimate(e.value, e.sigma)
-        return None
+        return self._index.get((observable, tuple(sorted(int(p) for p in parties))))
 
 
-class _RecordEstimates:
-    """Estimator backend over uniform-setting count records."""
+# Table observable -> (uniform setting label, estimator over count records).
+_RECORD_ESTIMATORS = {
+    "MZ": ("Z", estimate_mz),
+    "MX": ("X", estimate_product_expectation),
+    "A": ("AMIX", estimate_product_expectation),
+    "APRIME": ("APLUS", estimate_product_expectation),
+}
 
-    def __init__(self, records) -> None:
-        records = list(records)
+
+class PairEstimator:
+    """The witness input pairs, estimated from count records or read from
+    an ExpectationTable.
+
+    Records with the same uniform setting are merged; records that mix
+    settings are legal data but unused here.
+    """
+
+    def __init__(self, data) -> None:
+        if isinstance(data, ExpectationTable):
+            self.n = data.n
+            self._lookup = data.lookup
+            return
+        records = list(data)
         if not records:
             raise UsageError("no measurement records given")
         self.n = records[0].setting.n
@@ -123,7 +150,7 @@ class _RecordEstimates:
                 raise UsageError("records disagree on the party count")
             labels = set(rec.setting.labels)
             if len(labels) != 1:
-                continue  # mixed settings are legal data but unused here
+                continue
             lab = labels.pop()
             if lab in merged:
                 counts = dict(merged[lab].counts)
@@ -133,96 +160,50 @@ class _RecordEstimates:
             else:
                 merged[lab] = rec
         self._by_label = merged
+        self._lookup = self._estimate
 
-    def mz(self, parties) -> Estimate | None:
-        rec = self._by_label.get("Z")
-        return estimate_mz(rec, parties) if rec is not None else None
+    def _estimate(self, observable: str, parties) -> Estimate | None:
+        label, estimator = _RECORD_ESTIMATORS[observable]
+        rec = self._by_label.get(label)
+        return estimator(rec, parties) if rec is not None else None
 
-    def mx(self, parties) -> Estimate | None:
-        rec = self._by_label.get("X")
-        return estimate_product_expectation(rec, parties) if rec is not None else None
+    def _pair(self, first: str, second: str, parties) -> ExpectationPair | None:
+        a = self._lookup(first, parties)
+        b = self._lookup(second, parties)
+        if a is None or b is None:
+            return None
+        return ExpectationPair(a.value, b.value, a.sigma, b.sigma)
+
+    def sep_pair(self, parties) -> ExpectationPair | None:
+        """(<M_Z>, <M_X>) on the parties, or None without Z and X data."""
+        return self._pair("MZ", "MX", parties)
 
     def depth_pair(self) -> ExpectationPair | None:
-        amix = self._by_label.get("AMIX")
-        aplus = self._by_label.get("APLUS")
-        if amix is None or aplus is None:
-            return None
-        everyone = tuple(range(1, self.n + 1))
-        a = estimate_product_expectation(amix, everyone)
-        ap = estimate_product_expectation(aplus, everyone)
-        return ExpectationPair(a.value, ap.value, a.sigma, ap.sigma)
+        """Full-system (<A>, <A'>), or None without AMIX and APLUS data."""
+        return self._pair("A", "APRIME", tuple(range(1, self.n + 1)))
 
 
-class _TableEstimates:
-    def __init__(self, table: ExpectationTable) -> None:
-        self.n = table.n
-        self._table = table
-
-    def mz(self, parties) -> Estimate | None:
-        return self._table.lookup("MZ", parties)
-
-    def mx(self, parties) -> Estimate | None:
-        return self._table.lookup("MX", parties)
-
-    def depth_pair(self) -> ExpectationPair | None:
-        everyone = tuple(range(1, self.n + 1))
-        a = self._table.lookup("A", everyone)
-        ap = self._table.lookup("APRIME", everyone)
-        if a is None or ap is None:
-            return None
-        return ExpectationPair(a.value, ap.value, a.sigma, ap.sigma)
-
-
-def _make_estimates(data):
-    if isinstance(data, ExpectationTable):
-        return _TableEstimates(data)
-    return _RecordEstimates(data)
-
-
-class ScanResult(NamedTuple):
-    subset: tuple[int, ...]
-    value: float
-    sigma: float
-    bound: float
-    violated: bool
-    sign: int
-
-
-def _scan_size(est, pool, size: int, alpha: float, conf: float) -> list[ScanResult]:
+def _scan_size(est, pool, size: int, alpha: float, conf: float) -> list[Evidence]:
     bound = msep_bound(alpha, 2)
     out = []
     for subset in combinations(pool, size):
-        mz = est.mz(subset)
-        mx = est.mx(subset)
-        if mz is None or mx is None:
-            continue
-        pair = ExpectationPair(mz.value, mx.value, mz.sigma, mx.sigma)
-        wv = separability_witness_value(pair, alpha)
-        violated = wv.value > bound + conf * wv.sigma
-        out.append(ScanResult(subset, wv.value, wv.sigma, bound, violated, wv.sign))
+        pair = est.sep_pair(subset)
+        if pair is not None:
+            out.append(decide(subset, f"sep(alpha={alpha:g})",
+                              separability_witness_value(pair, alpha), bound, conf))
     return out
 
 
 def subset_witness_scan(
     data, size: int, alpha: float = 2.0, confidence_sigmas: float = 3.0
-) -> list[ScanResult]:
+) -> list[Evidence]:
     """Evaluate the two-group separability witness on every size-s subset
     (lexicographic order); a violation certifies entanglement within the
     subset.  Subsets without both Z and X data are skipped."""
-    est = _make_estimates(data)
+    est = PairEstimator(data)
     if not 2 <= size <= est.n:
         raise UsageError(f"subset size must lie in 2..{est.n}, got {size}")
     return _scan_size(est, tuple(range(1, est.n + 1)), size, alpha, confidence_sigmas)
-
-
-@dataclass(frozen=True)
-class Evidence:
-    subset: tuple[int, ...]
-    witness: str
-    value: float
-    sigma: float
-    bound: float
-    verdict: str  # "violated" or "not_violated"
 
 
 @dataclass(frozen=True)
@@ -245,29 +226,24 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
     step and a deeper starting point for the subset scan.
     """
     cfg = config or InferenceConfig()
-    est = _make_estimates(data)
+    est = PairEstimator(data)
     n = est.n
     everyone = tuple(range(1, n + 1))
     conf = cfg.confidence_sigmas
-    evidence: list[Evidence] = []
 
-    mz = est.mz(everyone)
-    mx = est.mx(everyone)
-    if mz is None or mx is None:
+    pair_full = est.sep_pair(everyone)
+    if pair_full is None:
         raise UsageError("full-system Z-basis and X-basis data are required")
-    pair_full = ExpectationPair(mz.value, mx.value, mz.sigma, mx.sigma)
 
     # Step 1: genuine multipartite entanglement
-    wv = separability_witness_value(pair_full, cfg.scan_alpha)
-    bound2 = msep_bound(cfg.scan_alpha, 2)
-    gme = wv.value > bound2 + conf * wv.sigma
-    evidence.append(
-        Evidence(everyone, f"sep(alpha={cfg.scan_alpha:g})", wv.value, wv.sigma,
-                 bound2, "violated" if gme else "not_violated")
-    )
-    if gme:
+    step1 = decide(everyone, f"sep(alpha={cfg.scan_alpha:g})",
+                   separability_witness_value(pair_full, cfg.scan_alpha),
+                   msep_bound(cfg.scan_alpha, 2), conf)
+    evidence = [step1]
+    gme_margin = step1.value - step1.bound
+    if step1.violated:
         return StructureReport(
-            n=n, gme=True, gme_margin=wv.value - bound2,
+            n=n, gme=True, gme_margin=gme_margin,
             intactness_upper=1, depth_lower=n,
             proposed_partition=(everyone,),
             evidence=tuple(evidence), assumptions=ASSUMPTIONS,
@@ -275,41 +251,15 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
         )
 
     # Step 2a: intactness upper bound at robustness-optimal alpha per m
-    intactness: int | None = None
-    for m in range(2, n + 1):
-        alpha = optimal_alpha(m)
-        wv_m = separability_witness_value(pair_full, alpha)
-        bound_m = msep_bound(alpha, m)
-        hit = wv_m.value > bound_m + conf * wv_m.sigma
-        evidence.append(
-            Evidence(everyone, f"sep(alpha={alpha:g},m={m})", wv_m.value,
-                     wv_m.sigma, bound_m, "violated" if hit else "not_violated")
-        )
-        if hit:
-            intactness = m - 1
-            break
+    intactness, rows = intactness_scan(pair_full, n, conf)
+    evidence += rows
 
-    # Step 2b: depth lower bound over the gamma grid.
-    # The certified producibility bounds cover eight parties only, so the
-    # depth step is skipped for other system sizes.
+    # Step 2b: depth lower bound over the gamma grid, where bounds exist
     depth: int | None = None
-    depth_pair = est.depth_pair() if n == 8 else None
+    depth_pair = est.depth_pair() if n == KPROD_N else None
     if depth_pair is not None:
-        for gamma in cfg.gamma_grid:
-            wv_d = depth_witness_value(depth_pair, gamma, n=n)
-            best_k = None
-            for k in range(n - 1, 0, -1):
-                if wv_d.value > kprod_bound(k, gamma) + conf * wv_d.sigma:
-                    best_k = k
-                    break
-            shown = best_k if best_k is not None else 1
-            evidence.append(
-                Evidence(everyone, f"depth(gamma={gamma:g},k={shown})",
-                         wv_d.value, wv_d.sigma, kprod_bound(shown, gamma),
-                         "violated" if best_k else "not_violated")
-            )
-            if best_k is not None and (depth is None or best_k + 1 > depth):
-                depth = best_k + 1
+        depth, rows = depth_scan(depth_pair, cfg.gamma_grid, conf)
+        evidence += rows
 
     # Step 3: greedy subset scan from the largest plausible group size.
     # With depth evidence the minimal compatible partition needs a block of
@@ -329,12 +279,7 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
             continue
         results = _scan_size(est, tuple(sorted(unassigned)), size,
                              cfg.scan_alpha, conf)
-        for r in results:
-            evidence.append(
-                Evidence(r.subset, f"sep(alpha={cfg.scan_alpha:g})", r.value,
-                         r.sigma, r.bound,
-                         "violated" if r.violated else "not_violated")
-            )
+        evidence += results
         hits = sorted(
             (r for r in results if r.violated),
             key=lambda r: (-(r.value - r.bound), r.subset),
@@ -347,7 +292,7 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
     partition = tuple(sorted(groups, key=min))
 
     return StructureReport(
-        n=n, gme=False, gme_margin=wv.value - bound2,
+        n=n, gme=False, gme_margin=gme_margin,
         intactness_upper=intactness, depth_lower=depth,
         proposed_partition=partition,
         evidence=tuple(evidence), assumptions=ASSUMPTIONS,

@@ -188,6 +188,10 @@ def depth_witness_value(
     return WitnessValue(value, sigma, +1)
 
 
+# The producibility bounds (kprod_table) exist for eight parties only.
+KPROD_N = 8
+
+
 class BoundEntry(NamedTuple):
     value: float
     source: str  # "tabulated" or "computed"
@@ -204,8 +208,8 @@ def kprod_bound_entry(k: int, gamma: float) -> BoundEntry:
     Certified cells are served verbatim; anything else is linearly
     interpolated from the computed see-saw curve and flagged "computed".
     """
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 7:
-        raise UsageError(f"k must be an integer in 1..7, got {k!r}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k < KPROD_N:
+        raise UsageError(f"k must be an integer in 1..{KPROD_N - 1}, got {k!r}")
     if gamma <= 0:
         raise UsageError(f"gamma must be positive, got {gamma}")
     for (tk, tg), val in kprod_table.TABULATED.items():
@@ -243,51 +247,92 @@ def di_bound(k: int, gamma: float = 2.0) -> float:
     return _DI_BOUNDS[k]
 
 
+@dataclass(frozen=True)
+class Evidence:
+    """One witness test: the measured value, its bound and the verdict."""
+
+    subset: tuple[int, ...]
+    witness: str
+    value: float
+    sigma: float
+    bound: float
+    verdict: str  # "violated" or "not_violated"
+
+    @property
+    def violated(self) -> bool:
+        return self.verdict == "violated"
+
+
+def decide(
+    subset: tuple[int, ...], witness: str, wv: WitnessValue, bound: float,
+    confidence_sigmas: float,
+) -> Evidence:
+    """The one decision rule: a bound is violated when the witness value
+    exceeds it by more than confidence_sigmas standard errors (one-sided)."""
+    violated = wv.value > bound + confidence_sigmas * wv.sigma
+    return Evidence(subset, witness, wv.value, wv.sigma, bound,
+                    "violated" if violated else "not_violated")
+
+
+def intactness_scan(
+    pair: ExpectationPair, n: int, confidence_sigmas: float
+) -> tuple[int | None, list[Evidence]]:
+    """Test the m-separable bound for m = 2..n at the robustness-optimal
+    alpha, stopping at the first violation: ruling m out bounds the
+    intactness by m-1.  Returns that bound (None when no m is ruled out)
+    and one evidence row per m tested."""
+    everyone = tuple(range(1, n + 1))
+    rows = []
+    for m in range(2, n + 1):
+        alpha = optimal_alpha(m)
+        rows.append(decide(
+            everyone, f"sep(alpha={alpha:g},m={m})",
+            separability_witness_value(pair, alpha), msep_bound(alpha, m),
+            confidence_sigmas,
+        ))
+        if rows[-1].violated:
+            return m - 1, rows
+    return None, rows
+
+
+def depth_scan(
+    pair: ExpectationPair, gamma_grid, confidence_sigmas: float
+) -> tuple[int | None, list[Evidence]]:
+    """For each gamma find the largest k whose KPROD_N-party producibility
+    bound is violated; the depth is then at least k+1.  Returns the best
+    such depth (None when not even k=1 is violated) and one evidence row
+    per gamma: the violated k, or k=1 when none is."""
+    everyone = tuple(range(1, KPROD_N + 1))
+    depth: int | None = None
+    rows = []
+    for gamma in gamma_grid:
+        wv = depth_witness_value(pair, gamma, n=KPROD_N)
+        for k in range(KPROD_N - 1, 0, -1):
+            row = decide(everyone, f"depth(gamma={gamma:g},k={k})", wv,
+                         kprod_bound(k, gamma), confidence_sigmas)
+            if row.violated:
+                depth = max(depth or 0, k + 1)
+                break
+        rows.append(row)
+    return depth, rows
+
+
 def intactness_upper_bound(
     pair: ExpectationPair, n: int, confidence_sigmas: float = 1.0
 ) -> int | None:
-    """Largest number of separable groups compatible with the measurement.
-
-    Scans m = 2..n at the robustness-optimal alpha; a violation of the
-    m-separable bound (by more than confidence_sigmas standard errors)
-    rules m out, so the intactness is at most m-1.  Returns None when no
-    m is ruled out.
-    """
+    """Largest number of separable groups compatible with the measurement
+    (see intactness_scan); None when no m is ruled out."""
     check_party_count(n)
-    for m in range(2, n + 1):
-        alpha = optimal_alpha(m)
-        wv = separability_witness_value(pair, alpha)
-        if wv.value > msep_bound(alpha, m) + confidence_sigmas * wv.sigma:
-            return m - 1
-    return None
+    return intactness_scan(pair, n, confidence_sigmas)[0]
 
 
 def depth_lower_bound(
-    pair: ExpectationPair,
-    gamma_grid=None,
-    confidence_sigmas: float = 1.0,
-    n: int = 8,
-    kappa: float = KAPPA,
+    pair: ExpectationPair, gamma_grid=None, confidence_sigmas: float = 1.0
 ) -> int | None:
-    """Smallest entanglement depth certified by the depth witness.
-
-    Evaluates the witness on every gamma in the grid and finds the largest
-    k whose producibility bound is exceeded by more than
-    confidence_sigmas standard errors; the depth is then at least k+1.
-    Returns None when not even the 1-producible bound is violated.
-    """
-    if n != 8:
-        raise UsageError("producibility bounds are available for n=8 only")
+    """Smallest entanglement depth certified by the KPROD_N-party depth
+    witness over the gamma grid (see depth_scan); None when not even the
+    1-producible bound is violated."""
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else tuple(gamma_grid)
     if not grid:
         raise UsageError("gamma_grid must not be empty")
-    best: int | None = None
-    for gamma in grid:
-        wv = depth_witness_value(pair, gamma, n=n, kappa=kappa)
-        for k in range(7, 0, -1):
-            bound = kprod_bound(k, gamma)
-            if wv.value > bound + confidence_sigmas * wv.sigma:
-                if best is None or k + 1 > best:
-                    best = k + 1
-                break
-    return best
+    return depth_scan(pair, grid, confidence_sigmas)[0]

@@ -1,5 +1,6 @@
 """Command-line surface: flags, file formats, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import entstruct
+import entstruct.cli
 from entstruct.cli import main
 from entstruct.noise import generalized_ghz_thresholds, gme_noise_threshold
 
@@ -152,6 +154,28 @@ class TestInfer:
         with pytest.raises(SystemExit) as exc:
             run("infer")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("entries", [
+        # json.dumps writes the non-standard literals NaN and Infinity
+        [{"observable": "MZ", "parties": [1, 2], "value": float("nan")}],
+        [{"observable": "MZ", "parties": [1, 2], "value": 0.5,
+          "sigma": float("inf")}],
+        [{"observable": "MZ", "parties": [1, 2], "value": 0.0},
+         {"observable": "MZ", "parties": [2, 1], "value": 1.0}],
+    ], ids=["nan-value", "infinite-sigma", "duplicate"])
+    def test_bad_table_exits_4(self, tmp_path, capsys, entries):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"n": 2, "expectations": entries}))
+        assert run("infer", "--expectations", table) == 4
+        assert "bad input file" in capsys.readouterr().err
+
+    def test_cli_imports_no_private_names(self):
+        tree = ast.parse(Path(entstruct.cli.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        assert not [name for name in imported
+                    if name.startswith("_") and not name.endswith("__")]
 
 
 class TestBounds:

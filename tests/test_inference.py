@@ -11,6 +11,7 @@ from entstruct.inference import (
     Evidence,
     ExpectationTable,
     InferenceConfig,
+    PairEstimator,
     StructureReport,
     TableEntry,
     consistency_check,
@@ -21,6 +22,7 @@ from entstruct.inference import (
 )
 from entstruct.states import Partition, ghz, product_structure, white_noise_mix
 from entstruct.tomo import MeasurementRecord, MeasurementSetting, sample_counts
+from entstruct.witnesses import ExpectationPair
 
 RHO_422 = Partition(((1, 2), (3, 4), (5, 6, 7, 8)))
 
@@ -295,3 +297,95 @@ class TestExpectationTableIO:
         path.write_text("{]")
         with pytest.raises(CountsFormatError, match="line 1"):
             load_expectation_table(path)
+
+    @pytest.mark.parametrize("field", ["value", "sigma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, field, bad):
+        kwargs = {"value": 0.5, "sigma": 0.01, field: bad}
+        with pytest.raises(UsageError, match=f"{field} must be finite"):
+            TableEntry("MZ", (1, 2), **kwargs)
+
+    @pytest.mark.parametrize("field,literal", [("value", "NaN"), ("sigma", "Infinity")])
+    def test_non_finite_json_rejected(self, tmp_path, field, literal):
+        path = tmp_path / "bad.json"
+        raw = {"value": "0.5", "sigma": "0.01", field: literal}
+        path.write_text(
+            '{"n": 2, "expectations": [{"observable": "MZ", "parties": [1, 2], '
+            f'"value": {raw["value"]}, "sigma": {raw["sigma"]}}}]}}'
+        )
+        with pytest.raises(CountsFormatError, match=f"{field} must be finite"):
+            load_expectation_table(path)
+
+    def test_duplicate_entry_rejected(self):
+        with pytest.raises(UsageError, match="duplicate"):
+            ExpectationTable(3, (TableEntry("MZ", (1, 2, 3), 0.0),
+                                 TableEntry("MZ", (3, 2, 1), 1.0)))
+
+    def test_duplicate_entry_in_file(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"n": 2, "expectations": [
+            {"observable": "MZ", "parties": [1, 2], "value": 0.0},
+            {"observable": "MZ", "parties": [2, 1], "value": 1.0},
+        ]}))
+        with pytest.raises(CountsFormatError, match="duplicate"):
+            load_expectation_table(path)
+
+    def test_same_parties_different_observables(self):
+        table = ExpectationTable(2, (TableEntry("MZ", (1, 2), 0.25),
+                                     TableEntry("MX", (2, 1), 0.75)))
+        assert table.lookup("MZ", (2, 1)).value == 0.25
+        assert table.lookup("MX", (1, 2)).value == 0.75
+        assert table.lookup("A", (1, 2)) is None
+
+
+class TestPairEstimator:
+    def test_table_pairs(self):
+        est = PairEstimator(exact_table(RHO_422))
+        assert est.n == 8
+        assert est.sep_pair((8, 7, 6, 5)) == ExpectationPair(1.0, 1.0, 0.0, 0.0)
+        assert est.sep_pair((1,)) is None
+        pair = est.depth_pair()
+        assert pair.value_z_or_a == pytest.approx(
+            np.cos(2 * 3 / 80) ** 2 * np.cos(4 * 3 / 80))
+
+    def test_counts_agree_with_table(self):
+        records = simulate_records(structured_state(RHO_422), seed=10)
+        counts, table = PairEstimator(records), PairEstimator(exact_table(RHO_422))
+        for parties in ((1, 2), (5, 6, 7, 8), tuple(range(1, 9))):
+            got, want = counts.sep_pair(parties), table.sep_pair(parties)
+            assert got.value_z_or_a == pytest.approx(want.value_z_or_a, abs=0.02)
+            assert got.value_x_or_aprime == pytest.approx(want.value_x_or_aprime,
+                                                          abs=0.02)
+        got, want = counts.depth_pair(), table.depth_pair()
+        assert got.value_z_or_a == pytest.approx(want.value_z_or_a, abs=0.02)
+        assert got.value_x_or_aprime == pytest.approx(want.value_x_or_aprime, abs=0.02)
+
+    def test_missing_settings_give_none(self):
+        records = simulate_records(structured_state(RHO_422), shots=1000, seed=11)
+        z_and_x = PairEstimator(records[:2])
+        assert z_and_x.sep_pair((1, 2)) is not None
+        assert z_and_x.depth_pair() is None
+        assert PairEstimator(records[2:]).sep_pair((1, 2)) is None
+
+    def test_no_records(self):
+        with pytest.raises(UsageError):
+            PairEstimator([])
+
+
+class TestScanEvidence:
+    def test_scan_rows_are_evidence(self):
+        rows = subset_witness_scan(exact_table(RHO_422), 4, alpha=1.5,
+                                   confidence_sigmas=0.0)
+        assert all(isinstance(r, Evidence) for r in rows)
+        assert {r.witness for r in rows} == {"sep(alpha=1.5)"}
+        hit = [r for r in rows if r.violated]
+        assert [r.subset for r in hit] == [(5, 6, 7, 8)]
+        assert hit[0].verdict == "violated"
+
+    def test_report_rows_match_scan_rows(self):
+        cfg = InferenceConfig(confidence_sigmas=0.0, max_subset_size=4)
+        report = infer_structure(exact_table(RHO_422), cfg)
+        four = [ev for ev in report.evidence
+                if len(ev.subset) == 4 and ev.witness == "sep(alpha=2)"]
+        assert four == subset_witness_scan(exact_table(RHO_422), 4,
+                                           confidence_sigmas=0.0)

@@ -1,0 +1,71 @@
+"""Properties of the decision path, checked over generated inputs."""
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from entstruct.inference import (
+    ExpectationTable,
+    InferenceConfig,
+    TableEntry,
+    infer_structure,
+)
+from entstruct.witnesses import (
+    ExpectationPair,
+    depth_lower_bound,
+    intactness_upper_bound,
+    msep_bound,
+    separability_witness_value,
+)
+
+values = st.floats(-1.0, 1.0)
+sigmas = st.floats(0.0, 0.3)
+confidences = st.floats(0.0, 5.0)
+pairs = st.builds(ExpectationPair, values, values, sigmas, sigmas)
+# error bars of 1e5-shot data, so the depth step often certifies something
+sharp_pairs = st.builds(ExpectationPair, values, values, st.floats(0.0, 0.01),
+                        st.floats(0.0, 0.01))
+# the certified cells plus interpolated points of the computed curve
+gamma_grids = st.lists(st.sampled_from((0.3, 0.8, 1.25, 1.6, 2.0)),
+                       min_size=1, max_size=3, unique=True).map(tuple)
+
+
+def looser_or_equal_upper(tight, loose) -> bool:
+    """An upper bound `loose` is no tighter than `tight` (None = no bound)."""
+    return loose is None or (tight is not None and loose >= tight)
+
+
+@given(pairs, st.integers(2, 12), confidences, confidences)
+def test_intactness_bound_never_tightens_with_confidence(pair, n, c1, c2):
+    low, high = sorted((c1, c2))
+    assert looser_or_equal_upper(intactness_upper_bound(pair, n, low),
+                                 intactness_upper_bound(pair, n, high))
+
+
+@given(pairs, gamma_grids, confidences, confidences)
+def test_depth_bound_never_tightens_with_confidence(pair, grid, c1, c2):
+    low, high = sorted((c1, c2))
+    at_low = depth_lower_bound(pair, grid, low)
+    at_high = depth_lower_bound(pair, grid, high)
+    assert at_high is None or (at_low is not None and at_high <= at_low)
+
+
+@given(pairs, sharp_pairs, st.one_of(st.just(8), st.integers(3, 10)),
+       confidences, gamma_grids)
+def test_inference_steps_match_library_bounds(sep, dep, n, conf, grid):
+    cfg = InferenceConfig(confidence_sigmas=conf, gamma_grid=grid)
+    wv = separability_witness_value(sep, cfg.scan_alpha)
+    assume(not wv.value > msep_bound(cfg.scan_alpha, 2) + conf * wv.sigma)
+    full = tuple(range(1, n + 1))
+    table = ExpectationTable(n, (
+        TableEntry("MZ", full, sep.value_z_or_a, sep.sigma_z_or_a),
+        TableEntry("MX", full, sep.value_x_or_aprime, sep.sigma_x_or_aprime),
+        TableEntry("A", full, dep.value_z_or_a, dep.sigma_z_or_a),
+        TableEntry("APRIME", full, dep.value_x_or_aprime, dep.sigma_x_or_aprime),
+    ))
+    report = infer_structure(table, cfg)
+    assert not report.gme
+    assert report.intactness_upper == intactness_upper_bound(sep, n, conf)
+    if n == 8:
+        assert report.depth_lower == depth_lower_bound(dep, grid, conf)
+    else:
+        assert report.depth_lower is None

@@ -16,9 +16,12 @@ from entstruct.witnesses import (
     SeparabilityWitness,
     build_depth_witness,
     build_separability_witness,
+    decide,
     depth_lower_bound,
+    depth_scan,
     depth_witness_value,
     di_bound,
+    intactness_scan,
     intactness_upper_bound,
     kappa_from_angles,
     kprod_bound,
@@ -27,6 +30,7 @@ from entstruct.witnesses import (
     mx_operator,
     mz_operator,
     optimal_alpha,
+    WitnessValue,
     separability_witness_value,
 )
 
@@ -273,3 +277,42 @@ class TestDecisionRules:
         pair = ExpectationPair(0.84, -0.02, 0.0, 0.0)
         assert depth_lower_bound(pair) == depth_lower_bound(
             pair, gamma_grid=DEFAULT_GAMMA_GRID)
+
+
+class TestDecide:
+    def test_boundary_is_not_a_violation(self):
+        at = decide((1, 2), "sep(alpha=2)", WitnessValue(2.5, 0.25, 1), 2.0, 2.0)
+        assert at.verdict == "not_violated" and not at.violated
+        above = decide((1, 2), "sep(alpha=2)", WitnessValue(2.51, 0.25, 1), 2.0, 2.0)
+        assert above.verdict == "violated" and above.violated
+        assert above.subset == (1, 2)
+        assert (above.value, above.sigma, above.bound) == (2.51, 0.25, 2.0)
+
+    def test_intactness_scan_rows(self):
+        upper, rows = intactness_scan(ExpectationPair(0.27, 0.86), 8, 0.0)
+        assert upper == 3
+        assert [r.witness for r in rows] == [
+            "sep(alpha=2,m=2)", "sep(alpha=1.33333,m=3)", "sep(alpha=1.14286,m=4)"]
+        assert [r.violated for r in rows] == [False, False, True]
+        assert {r.subset for r in rows} == {tuple(range(1, 9))}
+
+    def test_depth_scan_rows(self):
+        depth, rows = depth_scan(ExpectationPair(0.84, -0.02), (1.6, 2.0), 0.0)
+        assert depth == 4
+        assert [r.witness for r in rows] == ["depth(gamma=1.6,k=3)",
+                                             "depth(gamma=2,k=3)"]
+        assert [r.violated for r in rows] == [True, True]
+        assert rows[0].bound == kprod_bound(3, 1.6)
+
+    def test_depth_scan_without_violation_shows_k1(self):
+        depth, rows = depth_scan(ExpectationPair(0.5, 0.3), (2.0,), 0.0)
+        assert depth is None
+        assert [(r.witness, r.verdict) for r in rows] == [
+            ("depth(gamma=2,k=1)", "not_violated")]
+
+    def test_depth_lower_bound_takes_no_size_or_kappa(self):
+        pair = ExpectationPair(0.84, -0.02)
+        with pytest.raises(TypeError):
+            depth_lower_bound(pair, n=8)
+        with pytest.raises(TypeError):
+            depth_lower_bound(pair, kappa=KAPPA)
