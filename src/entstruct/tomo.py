@@ -100,15 +100,26 @@ class MeasurementRecord:
 
 
 def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarray:
-    """Exact outcome distribution of the product measurement on the state."""
+    """Exact outcome distribution of the product measurement on the state.
+
+    p_k = sum_ij rho_ij prod_q conj(u_q[i_q,k_q]) u_q[j_q,k_q], with u_q the
+    setting basis of party q, contracted one party at a time in O(4^n).
+    """
     if state.n_parties != setting.n:
         raise UsageError(
             f"state has {state.n_parties} parties, setting has {setting.n}"
         )
-    basis = np.eye(1, dtype=complex)
+    n = setting.n
+    # Axes (i_1, j_1, ..., i_n, j_n): each party's row and column bit adjacent.
+    interleave = [a for q in range(n) for a in (q, n + q)]
+    t = state.matrix.reshape((2,) * (2 * n)).transpose(interleave).reshape(-1)
+    # Replace the leading (i, j) pair by its outcome bit k, appended last, so
+    # the final axes are (k_1, ..., k_n) with party 1 most significant.
     for lab in setting.labels:
-        basis = np.kron(basis, _setting_basis(lab))
-    probs = np.real(np.einsum("ip,ij,jp->p", basis.conj(), state.matrix, basis))
+        u = _setting_basis(lab)
+        pair_to_outcome = (u.conj()[:, None, :] * u).reshape(4, 2)  # [2i+j, k]
+        t = (t.reshape(4, -1).T @ pair_to_outcome).reshape(-1)
+    probs = t.real
     if probs.min() < -1e-10:
         raise NumericError(f"negative outcome probability {probs.min():.3e}")
     probs = np.clip(probs, 0.0, None)
@@ -121,9 +132,14 @@ def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarra
 def sample_counts(
     state: StateDensity, setting: MeasurementSetting, shots: int, seed=None
 ) -> MeasurementRecord:
-    """Multinomial sample of the product measurement; deterministic per seed."""
-    if shots < 1:
-        raise UsageError(f"shots must be positive, got {shots}")
+    """Multinomial sample of the product measurement.
+
+    A seed reproduces the counts within one version of the package: a
+    change to how the probabilities are computed can move them in the
+    last bits and so change some draws.
+    """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise UsageError(f"shots must be a positive integer, got {shots!r}")
     probs = probabilities(state, setting)
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)

@@ -1,16 +1,29 @@
 """Counts: Born-rule probabilities, sampling, estimators, file format."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from entstruct.core import THETA_MID, THETA_PLUS
 from entstruct.errors import CountsFormatError, UsageError, ValidationError
-from entstruct.states import Partition, ghz, product_structure, white_noise_mix
+from entstruct.states import (
+    Partition,
+    StateDensity,
+    geometry_to_structure,
+    ghz,
+    product_structure,
+    white_noise_mix,
+)
 from entstruct.tomo import (
+    SETTING_LABELS,
     MeasurementRecord,
     MeasurementSetting,
+    _setting_basis,
     estimate_mz,
     estimate_product_expectation,
     load_counts,
@@ -21,6 +34,51 @@ from entstruct.tomo import (
     setting_observable,
     write_estimates_csv,
 )
+
+
+def einsum_probabilities(state, setting):
+    """Reference Born rule: the full 2^n x 2^n product basis B and
+    p = diag(B^dagger rho B) as one three-operand einsum (O(8^n))."""
+    basis = np.eye(1, dtype=complex)
+    for lab in setting.labels:
+        basis = np.kron(basis, _setting_basis(lab))
+    return np.real(np.einsum("ip,ij,jp->p", basis.conj(), state.matrix, basis))
+
+
+# xy-plane angle of each non-Z setting; X is angle 0
+XY_ANGLE = {"X": 0.0, "AMIX": THETA_MID, "APLUS": THETA_PLUS}
+
+
+def ghz_blocks_distribution(groups, label, n, noise):
+    """Closed-form outcome distribution of a product of GHZ blocks mixed
+    with white noise: Z gives 1/2 on a block's all-0 and all-1 outcomes;
+    an xy setting at angle t gives 2^-s (1 + (-1)^|b| cos(s t)) for a
+    block of s parties with outcome bits b.  Party 1 is the top bit."""
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    prob = np.ones(2**n)
+    for g in groups:
+        b = bits[:, [p - 1 for p in g]]
+        if label == "Z":
+            prob *= 0.5 * (b.all(axis=1) | ~b.any(axis=1))
+        else:
+            s = len(g)
+            sign = 1 - 2 * (b.sum(axis=1) % 2)
+            prob *= 2.0**-s * (1 + sign * np.cos(s * XY_ANGLE[label]))
+    return (1 - noise) * prob + noise / 2**n
+
+
+@st.composite
+def wishart_and_setting(draw):
+    """A random mixed state rho = G G^dagger / tr (G complex Gaussian,
+    2^n x (2^n + 1)) and a random mixed-label setting, n = 1..6."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    g = rng.normal(size=(dim, dim + 1)) + 1j * rng.normal(size=(dim, dim + 1))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    labels = draw(st.lists(st.sampled_from(SETTING_LABELS), min_size=n, max_size=n))
+    return StateDensity(rho, n), MeasurementSetting(tuple(labels))
 
 
 def record_from_exact(state, setting, shots):
@@ -68,6 +126,34 @@ class TestProbabilities:
         with pytest.raises(ValidationError):
             MeasurementSetting.uniform("Y2", 3)
 
+    @given(wishart_and_setting())
+    def test_agrees_with_einsum_on_random_mixed_states(self, case):
+        state, setting = case
+        np.testing.assert_allclose(probabilities(state, setting),
+                                   einsum_probabilities(state, setting),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["".join(g) for g in itertools.product("UD", repeat=3)])
+    def test_pbs_geometries_match_closed_form(self, geometry):
+        groups = geometry_to_structure(*(c == "U" for c in geometry)).groups
+        ideal = product_structure(Partition(groups), [ghz(len(g)) for g in groups])
+        for noise in (0.0, 0.05):
+            state = white_noise_mix(ideal, noise)
+            for label in SETTING_LABELS:
+                np.testing.assert_allclose(
+                    probabilities(state, MeasurementSetting.uniform(label, 8)),
+                    ghz_blocks_distribution(groups, label, 8, noise),
+                    rtol=0, atol=1e-12, err_msg=f"{label} noise={noise}")
+
+    def test_ghz10_white_noise_matches_closed_form(self):
+        state = white_noise_mix(ghz(10), 0.05)
+        everyone = tuple(range(1, 11))
+        for label in SETTING_LABELS:
+            np.testing.assert_allclose(
+                probabilities(state, MeasurementSetting.uniform(label, 10)),
+                ghz_blocks_distribution([everyone], label, 10, 0.05),
+                rtol=0, atol=1e-12, err_msg=label)
+
 
 class TestSampling:
     def test_deterministic_per_seed(self):
@@ -79,6 +165,16 @@ class TestSampling:
     def test_total_preserved(self):
         rec = sample_counts(ghz(3), MeasurementSetting.uniform("Z", 3), 777, seed=0)
         assert rec.total == 777
+
+    def test_numpy_integer_shots_accepted(self):
+        rec = sample_counts(ghz(3), MeasurementSetting.uniform("Z", 3), np.int64(777),
+                            seed=0)
+        assert rec.total == 777
+
+    @pytest.mark.parametrize("shots", [2.5, True, float("nan"), "10", 0, -3])
+    def test_invalid_shots_rejected(self, shots):
+        with pytest.raises(UsageError, match="shots"):
+            sample_counts(ghz(2), MeasurementSetting.uniform("Z", 2), shots, seed=0)
 
     def test_bell_z_support(self):
         rec = sample_counts(ghz(2), MeasurementSetting.uniform("Z", 2), 10000, seed=1)
