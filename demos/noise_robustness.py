@@ -2,7 +2,7 @@
 # Noise robustness of the detection schemes.
 #
 # Part 1: white-noise thresholds per family and party count, checked by
-# dense evaluation just inside and outside each boundary.
+# evaluation just inside and outside each boundary.
 # Part 2: the visibility model for fused photon pairs; shows how far the
 # pair and fusion visibilities can drop before an 8-party GHZ block stops
 # violating the biseparable bound.
@@ -13,24 +13,26 @@ from entstruct import (
     ExpectationPair,
     Partition,
     SeparabilityWitness,
-    expectation,
     ghz,
     gme_noise_threshold,
     intactness_noise_threshold,
     msep_bound,
-    mx_operator,
-    mz_operator,
+    mx_terms,
+    mz_terms,
     optimal_alpha,
     separability_witness_value,
+    terms_expectation,
     visibility_margin_curve,
     white_noise_mix,
 )
 
 
 def witness_value(n, p, alpha):
-    state = white_noise_mix(ghz(n), p)
-    pair = ExpectationPair(expectation(state, mz_operator(n)),
-                           expectation(state, mx_operator(n)))
+    # the noisy state is one n-party group
+    whole = Partition((tuple(range(1, n + 1)),))
+    state = [white_noise_mix(ghz(n), p)]
+    pair = ExpectationPair(terms_expectation(mz_terms(n), whole, state),
+                           terms_expectation(mx_terms(n), whole, state))
     return separability_witness_value(pair, alpha).value
 
 

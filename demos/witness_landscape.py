@@ -6,22 +6,21 @@
 # and the depth witness at gamma = 2.  Shows which class memberships
 # each ideal state rules out.
 
-import numpy as np
-
 from entstruct import (
     DepthWitness,
     Partition,
     SeparabilityWitness,
-    build_depth_witness,
-    build_separability_witness,
-    expectation,
+    a_terms,
+    aprime_terms,
+    depth_terms,
     ghz,
     kprod_bound,
     msep_bound,
-    mx_operator,
-    mz_operator,
+    mx_terms,
+    mz_terms,
     optimal_alpha,
-    product_structure,
+    separability_terms,
+    terms_expectation,
 )
 
 STRUCTURES = {
@@ -36,41 +35,42 @@ STRUCTURES = {
 
 
 def build(sizes):
+    """The structure's partition and its GHZ block states; the witnesses
+    are evaluated block by block, so no 2^n state is formed."""
     groups, start = [], 1
     for s in sizes:
         groups.append(tuple(range(start, start + s)))
         start += s
     part = Partition(tuple(groups))
-    return product_structure(part, [ghz(len(g)) for g in part.groups])
+    return part, [ghz(len(g)) for g in part.groups]
 
 
 def main():
     n = 8
-    mz_op, mx_op = mz_operator(n), mx_operator(n)
-    depth_ops = build_depth_witness(DepthWitness(n, 2.0))
+    depth_spec = DepthWitness(n, 2.0)
 
     print("ideal expectation values")
     print(f"{'structure':>9}  {'<MZ>':>7}  {'<MX>':>7}  {'<A>':>8}  {'<A,>':>8}")
     states = {}
     for name, sizes in STRUCTURES.items():
-        state = build(sizes)
-        states[name] = state
-        mz = expectation(state, mz_op)
-        mx = expectation(state, mx_op)
-        a = expectation(state, depth_ops.a_total)
-        ap = expectation(state, depth_ops.aprime_total)
+        part, blocks = build(sizes)
+        states[name] = (part, blocks)
+        mz = terms_expectation(mz_terms(n), part, blocks)
+        mx = terms_expectation(mx_terms(n), part, blocks)
+        a = terms_expectation(a_terms(depth_spec), part, blocks)
+        ap = terms_expectation(aprime_terms(depth_spec), part, blocks)
         print(f"{name:>9}  {mz:7.4f}  {mx:7.4f}  {a:8.4f}  {ap:8.4f}")
 
     print()
     print("separability family: witness minus bound at optimal alpha(m)")
     header = "  ".join(f"m={m:<2}" for m in range(2, 6))
     print(f"{'structure':>9}  {header}   (positive = m-separability excluded)")
-    for name, state in states.items():
+    for name, (part, blocks) in states.items():
         margins = []
         for m in range(2, 6):
             alpha = optimal_alpha(m)
-            w_op = build_separability_witness(SeparabilityWitness(n, alpha))
-            margin = expectation(state, w_op.matrix) - msep_bound(alpha, m)
+            w = separability_terms(SeparabilityWitness(n, alpha))
+            margin = terms_expectation(w, part, blocks) - msep_bound(alpha, m)
             margins.append(f"{margin:+5.2f}")
         print(f"{name:>9}  " + "  ".join(margins))
 
@@ -78,8 +78,8 @@ def main():
     print("depth family at gamma=2: witness minus k-producible bound")
     header = "  ".join(f"k={k:<2}" for k in range(1, 8))
     print(f"{'structure':>9}  {header}   (positive = depth > k)")
-    for name, state in states.items():
-        w = expectation(state, depth_ops.witness)
+    for name, (part, blocks) in states.items():
+        w = terms_expectation(depth_terms(depth_spec), part, blocks)
         margins = [f"{w - kprod_bound(k, 2.0):+5.2f}" for k in range(1, 8)]
         print(f"{name:>9}  " + "  ".join(margins))
 

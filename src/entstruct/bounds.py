@@ -6,9 +6,11 @@ group, replace that group's state by the top eigenvector, and cycle.  Each
 update is an exact partial maximization, so the objective never decreases;
 random restarts guard against local optima.
 
-Everything here works on a product-term representation of the witness
-(sum of coefficient times single-qubit tensor factors), which is what
-makes the group contraction cheap.
+Everything here works on the one representation of a witness: a sum of
+coefficient times single-qubit tensor factors (ProductTerms), built from
+the four observables M_Z, M_X, A and A'.  That is what makes the group
+contraction cheap, and it lets a witness be evaluated on a product of
+group states one group at a time (terms_expectation).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from .core import DenseOperator, check_party_count, kron, pauli_xy_observable, P0, P1, SX
+from .core import IMAG_RESIDUE_TOL, check_party_count, pauli_xy_observable, P0, P1, SX
 from .errors import NumericError, UsageError
 from .states import Partition
 from .witnesses import DepthWitness, SeparabilityWitness
@@ -60,34 +62,50 @@ class ProductTerms:
                     raise UsageError("term factors must be 2x2 matrices")
 
 
-def separability_terms(spec: SeparabilityWitness) -> ProductTerms:
-    n = spec.n
-    return ProductTerms(
-        n,
-        (spec.alpha, spec.alpha, float(spec.sign)),
-        (tuple([P0] * n), tuple([P1] * n), tuple([SX] * n)),
-    )
+def mz_terms(n: int) -> ProductTerms:
+    """M_Z: projector onto the all-|0> plus all-|1> populations."""
+    return ProductTerms(n, (1.0, 1.0), (tuple([P0] * n), tuple([P1] * n)))
 
 
-def depth_terms(spec: DepthWitness) -> ProductTerms:
-    n = spec.n
+def mx_terms(n: int) -> ProductTerms:
+    """M_X: sigma_x on every party."""
+    return ProductTerms(n, (1.0,), (tuple([SX] * n),))
+
+
+def a_terms(spec: DepthWitness) -> ProductTerms:
+    """A: the n-fold product of the normalized mean setting
+    (A_- + A_+)/(2 kappa), an xy observable at the midpoint angle."""
     a_plus = pauli_xy_observable(spec.theta_plus).matrix
     a_minus = pauli_xy_observable(spec.theta_minus).matrix
     mean = (a_minus + a_plus) / (2.0 * spec.kappa)
+    return ProductTerms(spec.n, (1.0,), (tuple([mean] * spec.n),))
+
+
+def aprime_terms(spec: DepthWitness) -> ProductTerms:
+    """A': the n-fold product of the plus setting."""
+    a_plus = pauli_xy_observable(spec.theta_plus).matrix
+    return ProductTerms(spec.n, (1.0,), (tuple([a_plus] * spec.n),))
+
+
+def _weighted_sum(*parts: tuple[float, ProductTerms]) -> ProductTerms:
+    """sum_i w_i * terms_i, keeping the terms in order."""
     return ProductTerms(
-        n,
-        (spec.gamma * spec.kappa**n, -1.0),
-        (tuple([mean] * n), tuple([a_plus] * n)),
+        parts[0][1].n,
+        tuple(w * c for w, terms in parts for c in terms.coeffs),
+        tuple(f for _, terms in parts for f in terms.factors),
     )
 
 
-def dense_from_terms(terms: ProductTerms) -> DenseOperator:
-    """Expand the product-term form back into a dense operator (for checks)."""
-    total = None
-    for c, facs in zip(terms.coeffs, terms.factors):
-        op = c * kron(facs)
-        total = op if total is None else total + op
-    return total
+def separability_terms(spec: SeparabilityWitness) -> ProductTerms:
+    """W_se = alpha*M_Z + sign*M_X."""
+    return _weighted_sum((spec.alpha, mz_terms(spec.n)),
+                         (float(spec.sign), mx_terms(spec.n)))
+
+
+def depth_terms(spec: DepthWitness) -> ProductTerms:
+    """W_de = gamma*kappa^n*A - A'."""
+    return _weighted_sum((spec.gamma * spec.kappa**spec.n, a_terms(spec)),
+                         (-1.0, aprime_terms(spec)))
 
 
 def canonical_partition(n: int, k: int) -> Partition:
@@ -126,21 +144,39 @@ def _group_operators(terms: ProductTerms, partition: Partition) -> list[list[np.
     return ops
 
 
-def product_state_value(
+def terms_expectation(
     terms: ProductTerms, partition: Partition, group_states
 ) -> float:
-    """Evaluate the witness on a product of per-group pure states."""
-    group_states = [np.asarray(v, dtype=complex) for v in group_states]
-    if len(group_states) != partition.num_groups:
-        raise UsageError("need one state vector per group")
+    """Tr(rho W) for rho the product of the per-group density matrices:
+    sum_t c_t prod_g Tr(rho_g O_{g,t}), one group at a time.
+
+    ``group_states[g]`` (a StateDensity or a square array) acts on the
+    parties of ``partition.groups[g]`` in the order listed there.  A
+    full-system state is the one-group partition.
+    """
+    if partition.n != terms.n:
+        raise UsageError(
+            f"partition covers {partition.n} parties, witness has {terms.n}"
+        )
+    rhos = [np.asarray(getattr(st, "matrix", st)) for st in group_states]
+    if len(rhos) != partition.num_groups:
+        raise UsageError("need one state per group")
+    for rho, size in zip(rhos, partition.sizes):
+        if rho.shape != (2**size, 2**size):
+            raise UsageError(
+                f"group of {size} parties needs a {2**size}x{2**size} state, "
+                f"got shape {rho.shape}"
+            )
     ops = _group_operators(terms, partition)
     total = 0.0
     for t, c in enumerate(terms.coeffs):
         prod = c
-        for g, psi in enumerate(group_states):
-            prod *= float(np.real(psi.conj() @ ops[g][t] @ psi))
+        for g, rho in enumerate(rhos):
+            prod *= np.einsum("ij,ji->", rho, ops[g][t])
         total += prod
-    return total
+    if abs(total.imag) >= IMAG_RESIDUE_TOL:
+        raise NumericError(f"expectation has imaginary residue {total.imag:.3e}")
+    return float(total.real)
 
 
 def _haar_kets(rng: np.random.Generator, sizes) -> list[np.ndarray]:

@@ -1,9 +1,12 @@
-"""Dense multi-qubit operator construction and exact linear-algebra helpers.
+"""Single-qubit building blocks and the party-count cap.
 
-Everything downstream (states, witnesses, bounds, sampling) builds its
-operators through this module.  Matrices are kept dense, so the party
-count is capped (default 12, i.e. 4096-dimensional) to avoid accidental
-memory blowups; raise :data:`PARTY_CAP` explicitly if you need more.
+Pauli matrices, the xy-plane observables of the depth witness and their
+setting angles, and the Hermiticity check of the state constructor.
+Witnesses are sums of products of these single-qubit factors
+(:class:`entstruct.bounds.ProductTerms`).  Density matrices are dense,
+so the party count is capped (default 12, i.e. 4096-dimensional) to
+avoid accidental memory blowups; raise :data:`PARTY_CAP` explicitly if
+you need more.
 """
 
 from __future__ import annotations
@@ -12,17 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 
-# Tolerances: construction-time Hermiticity is tight; checks on matrices
-# that have been through arithmetic use the looser downstream value.
-HERMITIAN_BUILD_TOL = 1e-12
 HERMITIAN_CHECK_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 
 PARTY_CAP = 12
 
-I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -43,7 +42,7 @@ def check_party_count(n: int, cap: int | None = None) -> None:
         raise UsageError(f"party count must be a positive integer, got {n!r}")
     if n > limit:
         raise UsageError(
-            f"{n} parties exceeds the dense-operator cap of {limit}; "
+            f"{n} parties exceeds the dense-state cap of {limit}; "
             "raise entstruct.core.PARTY_CAP if this is intentional"
         )
 
@@ -51,58 +50,6 @@ def check_party_count(n: int, cap: int | None = None) -> None:
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_CHECK_TOL) -> bool:
     matrix = np.asarray(matrix)
     return bool(np.max(np.abs(matrix - matrix.conj().T)) < tol)
-
-
-def _as_matrix(obj) -> np.ndarray:
-    """Accept DenseOperator, QubitObservable, or a bare array."""
-    if hasattr(obj, "matrix"):
-        return np.asarray(obj.matrix)
-    return np.asarray(obj)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense operator on ``n_parties`` qubits.
-
-    Hermiticity is verified at construction (within 1e-12) unless
-    ``hermitian=False`` is passed explicitly.
-    """
-
-    matrix: np.ndarray
-    n_parties: int
-    hermitian: bool = True
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        check_party_count(self.n_parties)
-        dim = 2**self.n_parties
-        if mat.shape != (dim, dim):
-            raise ValidationError(
-                f"matrix shape {mat.shape} does not match {self.n_parties} parties "
-                f"(expected {(dim, dim)})"
-            )
-        if self.hermitian and not is_hermitian(mat, HERMITIAN_BUILD_TOL):
-            raise ValidationError("operator marked hermitian fails the 1e-12 check")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.n_parties != other.n_parties:
-            raise UsageError("cannot add operators on different party counts")
-        return DenseOperator(self.matrix + other.matrix, self.n_parties,
-                             self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return self.__add__((-1.0) * other)
-
-    def __rmul__(self, scalar: float) -> "DenseOperator":
-        keep = self.hermitian and float(np.imag(scalar)) == 0.0
-        return DenseOperator(scalar * self.matrix, self.n_parties, keep)
-
-    __mul__ = __rmul__
 
 
 @dataclass(frozen=True)
@@ -128,73 +75,3 @@ class QubitObservable:
 def pauli_xy_observable(theta: float, label: str = "") -> QubitObservable:
     """Observable cos(theta) sigma_x + sin(theta) sigma_y."""
     return QubitObservable((float(np.cos(theta)), float(np.sin(theta)), 0.0), label)
-
-
-def a_plus_observable() -> QubitObservable:
-    return pauli_xy_observable(THETA_PLUS, "APLUS")
-
-
-def a_minus_observable() -> QubitObservable:
-    return pauli_xy_observable(THETA_MINUS, "AMINUS")
-
-
-def a_mix_observable() -> QubitObservable:
-    """The normalized mean of the two depth settings: an xy observable at the
-    midpoint angle.  Coincides with (A- + A+)/(2 kappa); see the witness tests."""
-    return pauli_xy_observable(THETA_MID, "AMIX")
-
-
-def kron(factors) -> DenseOperator:
-    """Tensor product of the given factors, leftmost factor on party 1.
-
-    Factors may be DenseOperators, QubitObservables, or bare square arrays
-    whose dimension is a power of two.
-    """
-    factors = list(factors)
-    if not factors:
-        raise UsageError("kron needs at least one factor")
-    total_parties = 0
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        mat = np.asarray(_as_matrix(f), dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise UsageError(f"kron factor has non-square shape {mat.shape}")
-        n = int(round(np.log2(mat.shape[0])))
-        if n < 1 or 2**n != mat.shape[0]:
-            raise UsageError(
-                f"kron factor dimension {mat.shape[0]} is not a power of 2 (>= 2)"
-            )
-        total_parties += n
-        check_party_count(total_parties)
-        out = np.kron(out, mat)
-    herm = is_hermitian(out, HERMITIAN_BUILD_TOL)
-    return DenseOperator(out, total_parties, herm)
-
-
-def hermitian_eig_max(op) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a corresponding unit eigenvector.
-
-    The input must be Hermitian within 1e-10; uses a symmetric eigensolver,
-    so the returned eigenvector is exact up to global phase.
-    """
-    mat = _as_matrix(op)
-    if not is_hermitian(mat, HERMITIAN_CHECK_TOL):
-        raise ValidationError("hermitian_eig_max called on a non-Hermitian matrix")
-    vals, vecs = np.linalg.eigh(mat)
-    return float(vals[-1]), vecs[:, -1]
-
-
-def expectation(state, op) -> float:
-    """Tr(rho O) as a real number.
-
-    Raises NumericError if the trace has imaginary residue >= 1e-10, which
-    signals a non-Hermitian input slipping through rather than roundoff.
-    """
-    rho = _as_matrix(state)
-    mat = _as_matrix(op)
-    if rho.shape != mat.shape:
-        raise UsageError(f"state {rho.shape} and operator {mat.shape} dimensions differ")
-    val = complex(np.einsum("ij,ji->", rho, mat))
-    if abs(val.imag) >= IMAG_RESIDUE_TOL:
-        raise NumericError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)

@@ -217,13 +217,15 @@ class StructureReport:
     evidence: tuple[Evidence, ...]
     assumptions: str
     confidence_sigmas: float
+    skipped: tuple[str, ...] = ()  # why a step did not run
 
 
 def infer_structure(data, config: InferenceConfig | None = None) -> StructureReport:
     """Run the three-step inference; see the module docstring.
 
     Requires full-system Z and X data; AMIX/APLUS data enable the depth
-    step and a deeper starting point for the subset scan.
+    step and a deeper starting point for the subset scan.  A step that
+    does not run leaves its reason in ``report.skipped``.
     """
     cfg = config or InferenceConfig()
     est = PairEstimator(data)
@@ -256,8 +258,14 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
 
     # Step 2b: depth lower bound over the gamma grid, where bounds exist
     depth: int | None = None
-    depth_pair = est.depth_pair() if n == KPROD_N else None
-    if depth_pair is not None:
+    skipped = []
+    if n != KPROD_N:
+        skipped.append(f"depth step: producibility bounds exist for n = {KPROD_N} "
+                       f"only, the data have n = {n}")
+    elif (depth_pair := est.depth_pair()) is None:
+        skipped.append("depth step: no full-system A and A' data (uniform AMIX "
+                       "and APLUS records, or A and APRIME table entries)")
+    else:
         depth, rows = depth_scan(depth_pair, cfg.gamma_grid, conf)
         evidence += rows
 
@@ -296,7 +304,7 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
         intactness_upper=intactness, depth_lower=depth,
         proposed_partition=partition,
         evidence=tuple(evidence), assumptions=ASSUMPTIONS,
-        confidence_sigmas=conf,
+        confidence_sigmas=conf, skipped=tuple(skipped),
     )
 
 
@@ -352,6 +360,7 @@ def report_to_dict(report: StructureReport) -> dict:
         "proposed_partition": [list(g) for g in report.proposed_partition],
         "confidence_sigmas": report.confidence_sigmas,
         "assumptions": report.assumptions,
+        "skipped": list(report.skipped),
         "evidence": [
             {
                 "subset": list(ev.subset),

@@ -12,17 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_party_count, expectation
+from .bounds import depth_terms, separability_terms, terms_expectation
+from .core import check_party_count
 from .errors import UsageError
-from .states import Partition, StateDensity, product_structure, visibility_state
-from .witnesses import (
-    DepthWitness,
-    SeparabilityWitness,
-    build_depth_witness,
-    build_separability_witness,
-    kprod_bound,
-    msep_bound,
-)
+from .states import Partition, visibility_state
+from .witnesses import DepthWitness, SeparabilityWitness, kprod_bound, msep_bound
 
 
 def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
@@ -121,7 +115,8 @@ def visibility_margin_curve(
     model (group sizes must be even), so the zero crossing of the margin
     traces the detection boundary in the (v1, v2) plane.  ``target`` is
     the m to test against for the separability family (default 2, the
-    GME test) or the k for the depth family (required).
+    GME test) or the k for the depth family (required).  Each point is
+    evaluated group by group; no 2^n state is built.
     """
     if any(len(g) % 2 for g in structure.groups):
         raise UsageError("visibility model needs even group sizes")
@@ -133,12 +128,12 @@ def visibility_margin_curve(
     if witness.family == "separability":
         m = 2 if target is None else int(target)
         bound = msep_bound(witness.alpha, m)
-        op = build_separability_witness(witness)
+        terms = separability_terms(witness)
     else:
         if target is None:
             raise UsageError("depth witness needs an explicit target k")
         bound = kprod_bound(int(target), witness.gamma)
-        op = build_depth_witness(witness).witness
+        terms = depth_terms(witness)
     points = []
     for v1 in v1_grid:
         for v2 in v2_grid:
@@ -146,7 +141,6 @@ def visibility_margin_curve(
                 visibility_state(len(g), float(v1), float(v2))
                 for g in structure.groups
             ]
-            state: StateDensity = product_structure(structure, group_states)
-            margin = expectation(state, op) - bound
+            margin = terms_expectation(terms, structure, group_states) - bound
             points.append(MarginPoint(float(v1), float(v2), margin))
     return points

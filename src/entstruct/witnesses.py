@@ -7,6 +7,10 @@ max{alpha, alpha/2^(m-1) + 1} for alpha in (0, 2].
 Depth family: W_de(gamma) = gamma*kappa^n*A - A', built from two xy-plane
 single-qubit settings; a measured value above the k-producibility bound
 beta_{n,k}(gamma) certifies entanglement depth at least k+1.
+
+This module holds the witness parameters, their bounds and the decision
+rules; the witnesses themselves are sums of product terms, built and
+evaluated in :mod:`entstruct.bounds`.
 """
 
 from __future__ import annotations
@@ -18,17 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kprod_table
-from .core import (
-    THETA_MINUS,
-    THETA_PLUS,
-    DenseOperator,
-    check_party_count,
-    kron,
-    pauli_xy_observable,
-    P0,
-    P1,
-    SX,
-)
+from .core import THETA_MINUS, THETA_PLUS, check_party_count
 from .errors import UsageError, ValidationError
 
 
@@ -38,18 +32,6 @@ def kappa_from_angles(theta_plus: float, theta_minus: float) -> float:
 
 
 KAPPA = kappa_from_angles(THETA_PLUS, THETA_MINUS)  # cos(3/10)
-
-
-def mz_operator(n: int) -> DenseOperator:
-    """Projector onto the all-|0> plus all-|1> populations."""
-    check_party_count(n)
-    return kron([P0] * n) + kron([P1] * n)
-
-
-def mx_operator(n: int) -> DenseOperator:
-    """sigma_x on every party."""
-    check_party_count(n)
-    return kron([SX] * n)
 
 
 @dataclass(frozen=True)
@@ -89,31 +71,6 @@ class DepthWitness:
     @property
     def kappa(self) -> float:
         return kappa_from_angles(self.theta_plus, self.theta_minus)
-
-
-def build_separability_witness(spec: SeparabilityWitness) -> DenseOperator:
-    return spec.alpha * mz_operator(spec.n) + float(spec.sign) * mx_operator(spec.n)
-
-
-class DepthOperators(NamedTuple):
-    witness: DenseOperator
-    a_total: DenseOperator
-    aprime_total: DenseOperator
-
-
-def build_depth_witness(spec: DepthWitness) -> DepthOperators:
-    """Assemble W_de together with its two product observables.
-
-    A is the n-fold product of the normalized mean setting
-    (A_- + A_+)/(2 kappa); A' is the n-fold product of the plus setting.
-    """
-    a_plus = pauli_xy_observable(spec.theta_plus).matrix
-    a_minus = pauli_xy_observable(spec.theta_minus).matrix
-    mean = (a_minus + a_plus) / (2.0 * spec.kappa)
-    a_total = kron([mean] * spec.n)
-    aprime_total = kron([a_plus] * spec.n)
-    witness = (spec.gamma * spec.kappa**spec.n) * a_total - aprime_total
-    return DepthOperators(witness, a_total, aprime_total)
 
 
 def msep_bound(alpha: float, m: int) -> float:

@@ -11,8 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from entstruct.bounds import kprod_curve, msep_bound_numeric, sos_gap
-from entstruct.core import expectation
+from entstruct.bounds import (
+    a_terms,
+    aprime_terms,
+    canonical_partition,
+    depth_terms,
+    kprod_curve,
+    msep_bound_numeric,
+    mx_terms,
+    mz_terms,
+    separability_terms,
+    sos_gap,
+    terms_expectation,
+)
 from entstruct.inference import InferenceConfig, infer_structure
 from entstruct.noise import gme_noise_threshold, intactness_noise_threshold
 from entstruct.states import (
@@ -33,14 +44,10 @@ from entstruct.witnesses import (
     DepthWitness,
     ExpectationPair,
     SeparabilityWitness,
-    build_depth_witness,
-    build_separability_witness,
     depth_lower_bound,
     depth_witness_value,
     intactness_upper_bound,
     msep_bound,
-    mx_operator,
-    mz_operator,
     optimal_alpha,
     separability_witness_value,
 )
@@ -94,34 +101,36 @@ def test_criterion_2_msep_closed_form_vs_numeric():
 
 
 def test_criterion_3_ideal_state_witness_values():
+    # evaluated group by group on the ideal GHZ blocks
     # separability rows: both 7+1 and 5+3 give MZ=1/2, MX=1, W(4/3)=5/3
-    mz_op, mx_op = mz_operator(8), mx_operator(8)
     for sizes in ((7, 1), (5, 3)):
         groups, p = [], 1
         for s in sizes:
             groups.append(tuple(range(p, p + s)))
             p += s
-        state = ideal_state(Partition(tuple(groups)))
-        mz = expectation(state, mz_op)
-        mx = expectation(state, mx_op)
-        w_op = build_separability_witness(SeparabilityWitness(8, 4 / 3))
-        w = expectation(state, w_op.matrix)
+        partition = Partition(tuple(groups))
+        blocks = [ghz(len(g)) for g in partition.groups]
+        mz = terms_expectation(mz_terms(8), partition, blocks)
+        mx = terms_expectation(mx_terms(8), partition, blocks)
+        w_terms = separability_terms(SeparabilityWitness(8, 4 / 3))
+        w = terms_expectation(w_terms, partition, blocks)
         assert abs(mz - 0.5) <= 1e-9, sizes
         assert abs(mx - 1.0) <= 1e-9, sizes
         assert abs(w - 5 / 3) <= 1e-9, sizes
 
     # depth rows, reference values at four decimals
-    ops = build_depth_witness(DepthWitness(8, 2.0))
+    spec = DepthWitness(8, 2.0)
     rows = {(7, 1): (0.9651, -0.6714, 2.0106), (5, 3): (0.9763, -0.0617, 1.4164)}
     for sizes, (a_pub, ap_pub, w_pub) in rows.items():
         groups, p = [], 1
         for s in sizes:
             groups.append(tuple(range(p, p + s)))
             p += s
-        state = ideal_state(Partition(tuple(groups)))
-        a = expectation(state, ops.a_total)
-        ap = expectation(state, ops.aprime_total)
-        w = expectation(state, ops.witness)
+        partition = Partition(tuple(groups))
+        blocks = [ghz(len(g)) for g in partition.groups]
+        a = terms_expectation(a_terms(spec), partition, blocks)
+        ap = terms_expectation(aprime_terms(spec), partition, blocks)
+        w = terms_expectation(depth_terms(spec), partition, blocks)
         assert abs(a - a_pub) <= 5e-4, sizes
         assert abs(ap - ap_pub) <= 5e-4, sizes
         assert abs(w - w_pub) <= 5e-4, sizes
@@ -162,12 +171,12 @@ def test_criterion_5_noise_threshold_boundaries():
     eps = 1e-6
     checked = 0
     for n in range(3, 9):
-        mz_op, mx_op = mz_operator(n), mx_operator(n)
+        whole = canonical_partition(n, n)
 
         def witness_at(p, alpha):
-            state = white_noise_mix(ghz(n), p)
-            pair = ExpectationPair(expectation(state, mz_op),
-                                   expectation(state, mx_op))
+            state = [white_noise_mix(ghz(n), p)]
+            pair = ExpectationPair(terms_expectation(mz_terms(n), whole, state),
+                                   terms_expectation(mx_terms(n), whole, state))
             return separability_witness_value(pair, alpha).value
 
         thr = gme_noise_threshold(n, 2.0)

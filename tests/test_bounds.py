@@ -1,34 +1,33 @@
 """Numerical bound machinery: see-saw, oracles, closed forms, SOS."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from entstruct.core import expectation, hermitian_eig_max
+from entstruct.core import P0, P1, SX, pauli_xy_observable
 from entstruct.errors import UsageError
-from entstruct.states import Partition
-from entstruct.witnesses import (
-    DepthWitness,
-    SeparabilityWitness,
-    build_depth_witness,
-    build_separability_witness,
-    msep_bound,
-)
+from entstruct.states import Partition, StateDensity, product_structure
+from entstruct.witnesses import DepthWitness, SeparabilityWitness, msep_bound
 from entstruct.bounds import (
     SeesawConfig,
     brute_oracle_max,
     canonical_partition,
-    dense_from_terms,
     depth_terms,
     kprod_curve,
     mb_lambda_max,
     msep_bound_numeric,
-    product_state_value,
     seesaw_max,
     separability_terms,
     sos_gap,
+    terms_expectation,
 )
+from oracles import dense, dense_value
+
+
+def kron_power(mat, n):
+    return reduce(np.kron, [mat] * n)
 
 
 class TestMbLambdaMax:
@@ -45,7 +44,7 @@ class TestMbLambdaMax:
             z = rng.uniform(-1, 1)
             alpha = rng.uniform(0.1, 2.0)
             mat = np.array([[alpha * x, z], [z, alpha * y]])
-            want, _ = hermitian_eig_max(mat)
+            want = np.linalg.eigvalsh(mat)[-1]
             assert mb_lambda_max(x, y, z, alpha) == pytest.approx(want, abs=1e-12)
 
     def test_dominates_z(self):
@@ -77,33 +76,30 @@ class TestCanonicalPartition:
 class TestTerms:
     def test_separability_dense_roundtrip(self):
         spec = SeparabilityWitness(4, 1.7)
-        dense = dense_from_terms(separability_terms(spec))
-        assert np.allclose(dense.matrix, build_separability_witness(spec).matrix,
-                           atol=1e-12)
+        want = 1.7 * (kron_power(P0, 4) + kron_power(P1, 4)) + kron_power(SX, 4)
+        assert np.allclose(dense(separability_terms(spec)), want, atol=1e-12)
 
     def test_depth_dense_roundtrip(self):
         spec = DepthWitness(4, 1.3)
-        dense = dense_from_terms(depth_terms(spec))
-        assert np.allclose(dense.matrix, build_depth_witness(spec).witness.matrix,
-                           atol=1e-12)
+        plus = pauli_xy_observable(spec.theta_plus).matrix
+        minus = pauli_xy_observable(spec.theta_minus).matrix
+        mean = (plus + minus) / (2 * spec.kappa)
+        want = 1.3 * spec.kappa**4 * kron_power(mean, 4) - kron_power(plus, 4)
+        assert np.allclose(dense(depth_terms(spec)), want, atol=1e-12)
 
-    def test_product_state_value_matches_dense(self):
+    def test_terms_expectation_matches_dense(self):
         spec = SeparabilityWitness(4, 2.0)
         terms = separability_terms(spec)
         pt = Partition(((1, 3), (2,), (4,)))
         rng = np.random.default_rng(12)
-        kets = []
+        states = []
         for size in pt.sizes:
             v = rng.normal(size=2**size) + 1j * rng.normal(size=2**size)
-            kets.append(v / np.linalg.norm(v))
-        got = product_state_value(terms, pt, kets)
+            v /= np.linalg.norm(v)
+            states.append(StateDensity(np.outer(v, v.conj()), size))
+        got = terms_expectation(terms, pt, states)
         # dense oracle: embed the product state and evaluate
-        from entstruct.states import StateDensity, product_structure
-
-        states = [StateDensity(np.outer(k, k.conj()), s)
-                  for k, s in zip(kets, pt.sizes)]
-        joint = product_structure(pt, states)
-        want = expectation(joint, dense_from_terms(terms))
+        want = dense_value(terms, product_structure(pt, states))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -125,7 +121,7 @@ class TestSeesaw:
         spec = SeparabilityWitness(2, 2.0)
         terms = separability_terms(spec)
         res = seesaw_max(terms, Partition(((1, 2),)), SeesawConfig(restarts=5))
-        want, _ = hermitian_eig_max(build_separability_witness(spec).matrix)
+        want = np.linalg.eigvalsh(dense(terms))[-1]
         assert res.value == pytest.approx(want, abs=1e-10)
         assert want == pytest.approx(3.0, abs=1e-12)
 
@@ -153,7 +149,8 @@ class TestSeesaw:
         terms = separability_terms(SeparabilityWitness(4, 1.2))
         pt = canonical_partition(4, 2)
         res = seesaw_max(terms, pt, SeesawConfig(restarts=15))
-        replay = product_state_value(terms, pt, res.group_states)
+        rhos = [np.outer(psi, psi.conj()) for psi in res.group_states]
+        replay = terms_expectation(terms, pt, rhos)
         assert replay == pytest.approx(res.value, abs=1e-10)
 
     def test_partition_mismatch(self):

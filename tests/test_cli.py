@@ -150,6 +150,16 @@ class TestInfer:
         assert doc["gme"] is True
         assert doc["proposed_partition"] == [list(range(1, 9))]
 
+    def test_small_system_reports_skipped_depth_step(self, tmp_path):
+        counts = simulate(tmp_path, "--structure", "4+2", seed=5)
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "entstruct/1"
+        assert doc["depth_lower"] is None
+        assert len(doc["skipped"]) == 1
+        assert doc["skipped"][0].startswith("depth step")
+
     def test_counts_xor_expectations(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("infer")
@@ -252,6 +262,12 @@ class TestVisibility:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "v1,v2,margin"
         assert lines[1] == "1,1,0"
+
+    def test_twelve_parties_in_three_blocks(self, capsys):
+        # three GHZ4 blocks: MZ = 2 (1/2)^3 = 1/4, so W = 2/4 + 1 = 1.5 vs bound 2
+        assert run("visibility", "--structure", "4+4+4",
+                   "--v1-grid", "1.0") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,1,-0.5"
 
     def test_single_block_margin(self, capsys):
         assert run("visibility", "--structure", "8",

@@ -1,13 +1,21 @@
-"""Operator primitives: kron, eigensolvers, expectations, xy observables."""
+"""Single-qubit primitives, tensor products of term factors, and the
+factored witness evaluator on full-system states."""
 
 import math
 
 import numpy as np
 import pytest
 
+from entstruct.bounds import (
+    ProductTerms,
+    _group_operators,
+    a_terms,
+    aprime_terms,
+    canonical_partition,
+    mx_terms,
+    terms_expectation,
+)
 from entstruct.core import (
-    DenseOperator,
-    I2,
     P0,
     P1,
     PARTY_CAP,
@@ -17,55 +25,45 @@ from entstruct.core import (
     THETA_MID,
     THETA_MINUS,
     THETA_PLUS,
-    a_minus_observable,
-    a_mix_observable,
-    a_plus_observable,
-    expectation,
-    hermitian_eig_max,
-    kron,
     pauli_xy_observable,
 )
-from entstruct.errors import NumericError, UsageError, ValidationError
-from entstruct.states import ghz, white_noise_mix
-from entstruct.witnesses import mx_operator
+from entstruct.errors import NumericError, UsageError
+from entstruct.states import Partition, ghz, white_noise_mix
+from entstruct.witnesses import DepthWitness
+
+I2 = np.eye(2, dtype=complex)
 
 
-def power_iteration_max(mat, iters=8000, tol=1e-13):
-    """Independent top-eigenvalue oracle.
+def one_term(*factors):
+    """The witness made of the single product of the given factors."""
+    return ProductTerms(len(factors), (1.0,), (tuple(factors),))
 
-    Shifts the spectrum to make the top eigenvalue dominant in modulus,
-    then runs plain power iteration.
-    """
-    dim = mat.shape[0]
-    shift = np.linalg.norm(mat, ord=1) + 1.0
-    shifted = mat + shift * np.eye(dim)
-    rng = np.random.default_rng(5)
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    vec /= np.linalg.norm(vec)
-    prev = 0.0
-    for _ in range(iters):
-        vec = shifted @ vec
-        norm = np.linalg.norm(vec)
-        vec /= norm
-        if abs(norm - prev) < tol:
-            break
-        prev = norm
-    val = np.real(np.conj(vec) @ mat @ vec)
-    return float(val)
+
+def product_operator(factors):
+    """The operator the evaluator forms for the product of the factors
+    on one group of all parties."""
+    terms = one_term(*factors)
+    return _group_operators(terms, canonical_partition(terms.n, terms.n))[0][0]
+
+
+def whole(n):
+    return canonical_partition(n, n)
 
 
 class TestKron:
+    """Tensor products of term factors, party 1 leftmost."""
+
     def test_sx_sx_antidiagonal(self):
-        op = kron([SX, SX])
-        assert op.matrix[0, 3] == 1
-        assert np.array_equal(op.matrix, np.fliplr(np.eye(4)))
-        assert op.n_parties == 2
+        op = product_operator([SX, SX])
+        assert op[0, 3] == 1
+        assert np.array_equal(op, np.fliplr(np.eye(4)))
 
     def test_identity(self):
-        assert np.array_equal(kron([I2, I2]).matrix, np.eye(4))
+        assert np.array_equal(product_operator([I2, I2]), np.eye(4))
 
     def test_projector_product(self):
-        assert np.array_equal(kron([P0, P1]).matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
+        assert np.array_equal(product_operator([P0, P1]),
+                              np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_matches_numpy_chain(self):
         rng = np.random.default_rng(0)
@@ -74,81 +72,68 @@ class TestKron:
                     for _ in range(3)]
             mats = [m + m.conj().T for m in mats]
             want = np.kron(np.kron(mats[0], mats[1]), mats[2])
-            got = kron(mats)
-            assert np.allclose(got.matrix, want, atol=1e-12)
-            assert got.n_parties == 3
-
-    def test_accepts_dense_operator_factors(self):
-        op = kron([DenseOperator(SX, 1), DenseOperator(np.eye(4), 2)])
-        assert op.n_parties == 3
+            assert np.allclose(product_operator(mats), want, atol=1e-12)
+            # a group takes its own parties, in the order it lists them
+            ops = _group_operators(one_term(*mats), Partition(((3, 1), (2,))))
+            assert np.allclose(ops[0][0], np.kron(mats[2], mats[0]), atol=1e-12)
+            assert np.allclose(ops[1][0], mats[1], atol=1e-12)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(UsageError):
-            kron([np.ones((2, 3))])
+            one_term(np.ones((2, 3)))
         with pytest.raises(UsageError):
-            kron([np.eye(3)])  # not a qubit register
+            one_term(np.eye(4))  # one 2x2 factor per party
         with pytest.raises(UsageError):
-            kron([])
+            ProductTerms(2, (1.0,), ((SX,),))
+        with pytest.raises(UsageError):
+            ProductTerms(1, (), ())
 
     def test_party_cap(self):
         with pytest.raises(UsageError):
-            kron([I2] * (PARTY_CAP + 1))
+            one_term(*[I2] * (PARTY_CAP + 1))
 
 
 class TestEigMax:
-    def test_sigma_z(self):
-        val, vec = hermitian_eig_max(SZ)
-        assert val == pytest.approx(1.0, abs=1e-14)
-        # top eigenvector is |0> up to phase
-        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(vec[1]) == pytest.approx(0.0, abs=1e-12)
-
     def test_mb_saturation_case(self):
         # alpha (x+y)/2 + sqrt(z^2 + alpha^2 (x-y)^2 / 4) at x=y=1/2, z=1
         alpha, x, y, z = 2.0, 0.5, 0.5, 1.0
         mb = np.array([[alpha * x, z], [z, alpha * y]])
-        val, _ = hermitian_eig_max(mb)
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_matches_power_iteration(self):
-        rng = np.random.default_rng(7)
-        for _ in range(6):
-            raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            herm = (raw + raw.conj().T) / 2
-            val, vec = hermitian_eig_max(herm)
-            assert val == pytest.approx(power_iteration_max(herm), abs=1e-9)
-            # the returned pair satisfies the eigenvalue equation
-            assert np.linalg.norm(herm @ vec - val * vec) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.linalg.eigvalsh(mb)[-1] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestExpectation:
+    """terms_expectation on a full-system state: the one-group partition."""
+
     def test_identity_is_one(self):
         rng = np.random.default_rng(11)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho).real
-        assert expectation(rho, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+        assert terms_expectation(one_term(I2, I2), whole(2), [rho]) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_mx_on_ghz8(self):
-        assert expectation(ghz(8), mx_operator(8)) == pytest.approx(1.0, abs=1e-12)
+        assert terms_expectation(mx_terms(8), whole(8), [ghz(8)]) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_sigma_z_on_mixed(self):
         mixed = white_noise_mix(ghz(1), 1.0)
-        assert expectation(mixed, SZ) == pytest.approx(0.0, abs=1e-14)
+        assert terms_expectation(one_term(SZ), whole(1), [mixed]) == \
+            pytest.approx(0.0, abs=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
-            expectation(ghz(1), np.eye(4))
+            terms_expectation(one_term(I2, I2), whole(2), [ghz(1)])
+        with pytest.raises(UsageError):  # one state per group
+            terms_expectation(one_term(I2, I2), canonical_partition(2, 1), [ghz(1)])
+        with pytest.raises(UsageError):  # partition and witness party counts
+            terms_expectation(one_term(I2), whole(2), [ghz(2)])
 
     def test_flags_imaginary_residue(self):
-        # a non-Hermitian operator leaves an imaginary trace on |+>
+        # a non-Hermitian factor leaves an imaginary trace on |+>
         op = np.array([[0.0, 1.0j], [0.0, 0.0]])
         with pytest.raises(NumericError):
-            expectation(ghz(1), op)
+            terms_expectation(one_term(op), whole(1), [ghz(1)])
 
 
 class TestXYObservables:
@@ -168,20 +153,22 @@ class TestXYObservables:
         assert THETA_PLUS == pytest.approx(27 / 80)
         assert THETA_MINUS == pytest.approx(-21 / 80)
         assert THETA_MID == pytest.approx(3 / 80)
-        assert np.allclose(a_plus_observable().matrix,
+        spec = DepthWitness(1, 2.0)
+        assert (spec.theta_plus, spec.theta_minus) == (THETA_PLUS, THETA_MINUS)
+        assert np.allclose(aprime_terms(spec).factors[0][0],
                            pauli_xy_observable(27 / 80).matrix)
-        assert np.allclose(a_minus_observable().matrix,
-                           pauli_xy_observable(-21 / 80).matrix)
 
     def test_mix_is_normalized_mean(self):
         # (A- + A+) / (2 kappa) is again a unit xy observable, at the
         # midpoint angle
         kappa = math.cos(3 / 10)
-        mean = (a_plus_observable().matrix + a_minus_observable().matrix) / (2 * kappa)
-        assert np.allclose(a_mix_observable().matrix, mean, atol=1e-14)
+        mean = (pauli_xy_observable(THETA_PLUS).matrix
+                + pauli_xy_observable(THETA_MINUS).matrix) / (2 * kappa)
+        assert np.allclose(a_terms(DepthWitness(1, 2.0)).factors[0][0], mean,
+                           atol=1e-14)
         assert np.allclose(mean, pauli_xy_observable(3 / 80).matrix, atol=1e-14)
 
     def test_unit_spectrum(self):
         for theta in (0.1, 1.2, 2.9):
-            val, _ = hermitian_eig_max(pauli_xy_observable(theta).matrix)
-            assert val == pytest.approx(1.0, abs=1e-12)
+            top = np.linalg.eigvalsh(pauli_xy_observable(theta).matrix)[-1]
+            assert top == pytest.approx(1.0, abs=1e-12)

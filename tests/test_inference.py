@@ -206,6 +206,31 @@ class TestInferStructure:
         assert "singleton" in report.assumptions
 
 
+class TestSkipReasons:
+    def test_small_system_names_the_skipped_depth_step(self):
+        pt = Partition(((1, 2, 3, 4), (5, 6)))
+        report = infer_structure(simulate_records(structured_state(pt), seed=5))
+        assert report.depth_lower is None
+        assert not any(ev.witness.startswith("depth") for ev in report.evidence)
+        assert len(report.skipped) == 1
+        assert "n = 8 only" in report.skipped[0]
+        assert "n = 6" in report.skipped[0]
+        assert report_to_dict(report)["skipped"] == list(report.skipped)
+
+    def test_missing_depth_data_names_the_skipped_depth_step(self):
+        records = simulate_records(structured_state(RHO_422), seed=4)[:2]
+        report = infer_structure(records)  # Z and X only
+        assert report.depth_lower is None
+        assert len(report.skipped) == 1
+        assert "AMIX" in report.skipped[0] and "APLUS" in report.skipped[0]
+
+    def test_depth_data_at_n8_skips_nothing(self):
+        report = infer_structure(simulate_records(structured_state(RHO_422), seed=2))
+        assert report.depth_lower == 4
+        assert report.skipped == ()
+        assert report_to_dict(report)["skipped"] == []
+
+
 class TestConsistency:
     def test_depth_exceeds_largest_group(self):
         report = StructureReport(

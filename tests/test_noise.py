@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from entstruct.core import expectation
+from entstruct.bounds import (
+    canonical_partition,
+    depth_terms,
+    mx_terms,
+    mz_terms,
+    separability_terms,
+    terms_expectation,
+)
 from entstruct.errors import UsageError
 from entstruct.noise import (
     estimate_gammas,
@@ -14,16 +21,27 @@ from entstruct.noise import (
     intactness_noise_threshold,
     visibility_margin_curve,
 )
-from entstruct.states import Partition, ghz, ghz_noise_model, white_noise_mix
+from entstruct.states import (
+    Partition,
+    ghz,
+    ghz_noise_model,
+    product_structure,
+    visibility_state,
+    white_noise_mix,
+)
 from entstruct.witnesses import (
     DepthWitness,
     SeparabilityWitness,
-    build_separability_witness,
+    kprod_bound,
     msep_bound,
-    mx_operator,
-    mz_operator,
     optimal_alpha,
 )
+from oracles import dense_value
+
+
+def full_value(terms, state):
+    """The witness on a full-system state, as the one-group partition."""
+    return terms_expectation(terms, canonical_partition(terms.n, terms.n), [state])
 
 
 class TestGmeThreshold:
@@ -41,12 +59,12 @@ class TestGmeThreshold:
         assert gme_noise_threshold(6, alpha=1e-9) == pytest.approx(0.0, abs=1e-9)
 
     def test_boundary_is_sharp(self):
-        # dense evaluation flips exactly at the threshold
+        # the evaluated witness flips exactly at the threshold
         n = 5
         thr = gme_noise_threshold(n)
-        op = build_separability_witness(SeparabilityWitness(n, 2.0))
-        below = expectation(white_noise_mix(ghz(n), thr - 1e-6), op)
-        above = expectation(white_noise_mix(ghz(n), thr + 1e-6), op)
+        w = separability_terms(SeparabilityWitness(n, 2.0))
+        below = full_value(w, white_noise_mix(ghz(n), thr - 1e-6))
+        above = full_value(w, white_noise_mix(ghz(n), thr + 1e-6))
         assert below > msep_bound(2.0, 2)
         assert above <= msep_bound(2.0, 2)
 
@@ -74,9 +92,9 @@ class TestIntactnessThreshold:
         n, m = 6, 4
         alpha = optimal_alpha(m)
         thr = intactness_noise_threshold(n, m)
-        op = build_separability_witness(SeparabilityWitness(n, alpha))
-        below = expectation(white_noise_mix(ghz(n), thr - 1e-6), op)
-        above = expectation(white_noise_mix(ghz(n), thr + 1e-6), op)
+        w = separability_terms(SeparabilityWitness(n, alpha))
+        below = full_value(w, white_noise_mix(ghz(n), thr - 1e-6))
+        above = full_value(w, white_noise_mix(ghz(n), thr + 1e-6))
         assert below > msep_bound(alpha, m)
         assert above <= msep_bound(alpha, m)
 
@@ -110,10 +128,10 @@ class TestGeneralizedThresholds:
     def test_generalized_boundary_dense(self):
         n, theta, phi = 4, 0.55, 0.3
         thr = generalized_ghz_thresholds(n, theta, phi)
-        op = build_separability_witness(SeparabilityWitness(n, 2.0))
+        w = separability_terms(SeparabilityWitness(n, 2.0))
         state = ghz(n, theta, phi)
-        below = expectation(white_noise_mix(state, thr - 1e-6), op)
-        above = expectation(white_noise_mix(state, thr + 1e-6), op)
+        below = full_value(w, white_noise_mix(state, thr - 1e-6))
+        above = full_value(w, white_noise_mix(state, thr + 1e-6))
         assert below > msep_bound(2.0, 2)
         assert above <= msep_bound(2.0, 2)
 
@@ -141,8 +159,8 @@ class TestGammaEstimation:
         for n in (2, 4, 8):
             for gd, gw in ((0.1, 0.2), (0.0, 0.4), (0.3, 0.0)):
                 state = ghz_noise_model(n, gd, gw)
-                z = expectation(state, mz_operator(n))
-                x = expectation(state, mx_operator(n))
+                z = full_value(mz_terms(n), state)
+                x = full_value(mx_terms(n), state)
                 est = estimate_gammas(z, x, n)
                 assert est.valid
                 assert est.gamma_w == pytest.approx(gw, abs=1e-10)
@@ -187,6 +205,25 @@ class TestVisibilityMargin:
             visibility_margin_curve(pt, DepthWitness(8, 2.0), [1.0])
         pts = visibility_margin_curve(pt, DepthWitness(8, 2.0), [1.0], target=3)
         assert pts[0].margin > 0
+
+    @pytest.mark.parametrize("witness,target", [
+        (SeparabilityWitness(8, 4 / 3, sign=-1), 3),
+        (DepthWitness(8, 1.6), 2),
+    ])
+    def test_matches_dense_product_state(self, witness, target):
+        pt = Partition(((1, 4), (2, 3, 5, 8), (6, 7)))
+        grid = [0.8, 0.93, 1.0]
+        pts = visibility_margin_curve(pt, witness, grid, [0.9, 1.0], target=target)
+        if witness.family == "separability":
+            terms, bound = separability_terms(witness), msep_bound(witness.alpha, target)
+        else:
+            terms, bound = depth_terms(witness), kprod_bound(target, witness.gamma)
+        assert len(pts) == 6
+        for p in pts:
+            state = product_structure(
+                pt, [visibility_state(len(g), p.v1, p.v2) for g in pt.groups])
+            assert p.margin == pytest.approx(dense_value(terms, state) - bound,
+                                             abs=1e-12)
 
     def test_odd_group_rejected(self):
         pt = Partition(((1, 2, 3), (4,)))

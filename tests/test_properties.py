@@ -1,21 +1,28 @@
-"""Properties of the decision path, checked over generated inputs."""
+"""Properties of the decision path and of the factored witness
+evaluator, checked over generated inputs."""
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from entstruct.bounds import depth_terms, separability_terms, terms_expectation
 from entstruct.inference import (
     ExpectationTable,
     InferenceConfig,
     TableEntry,
     infer_structure,
 )
+from entstruct.states import Partition, StateDensity, product_structure
 from entstruct.witnesses import (
+    DepthWitness,
     ExpectationPair,
+    SeparabilityWitness,
     depth_lower_bound,
     intactness_upper_bound,
     msep_bound,
     separability_witness_value,
 )
+from oracles import dense_value
 
 values = st.floats(-1.0, 1.0)
 sigmas = st.floats(0.0, 0.3)
@@ -69,3 +76,48 @@ def test_inference_steps_match_library_bounds(sep, dep, n, conf, grid):
         assert report.depth_lower == depth_lower_bound(dep, grid, conf)
     else:
         assert report.depth_lower is None
+
+
+@st.composite
+def partitions(draw):
+    """Parties 1..n (n = 1..6) shuffled and cut into consecutive groups."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    groups, current = [], [order[0]]
+    for p, cut in zip(order[1:], cuts):
+        if cut:
+            groups.append(tuple(current))
+            current = []
+        current.append(p)
+    groups.append(tuple(current))
+    return Partition(tuple(groups))
+
+
+def wishart_states(partition, seed):
+    """One random full-rank mixed state per group: G G^dagger / Tr."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for size in partition.sizes:
+        dim = 2**size
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        states.append(StateDensity(rho / np.trace(rho).real, size))
+    return states
+
+
+angles = st.floats(-1.5, 1.5)
+
+
+@given(partitions(), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 2.0, exclude_min=True), st.sampled_from((1, -1)),
+       st.floats(0.05, 3.0), angles, angles)
+def test_terms_expectation_matches_dense(partition, seed, alpha, sign, gamma,
+                                         theta_plus, theta_minus):
+    n = partition.n
+    states = wishart_states(partition, seed)
+    joint = product_structure(partition, states)
+    for terms in (separability_terms(SeparabilityWitness(n, alpha, sign)),
+                  depth_terms(DepthWitness(n, gamma, theta_plus, theta_minus))):
+        got = terms_expectation(terms, partition, states)
+        assert abs(got - dense_value(terms, joint)) <= 1e-12

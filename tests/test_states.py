@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from entstruct.core import P0, SX, expectation, kron
+from entstruct.bounds import ProductTerms, mx_terms, mz_terms
+from entstruct.core import P0
 from entstruct.errors import UsageError, ValidationError
 from entstruct.states import (
     Partition,
@@ -18,7 +19,7 @@ from entstruct.states import (
     visibility_state,
     white_noise_mix,
 )
-from entstruct.witnesses import mx_operator, mz_operator
+from oracles import dense_value
 
 
 def bell():
@@ -64,29 +65,29 @@ class TestStateDensity:
 
 class TestGHZ:
     def test_bell_parity(self):
-        assert expectation(bell(), kron([SX, SX])) == pytest.approx(1.0, abs=1e-14)
+        assert dense_value(mx_terms(2), bell()) == pytest.approx(1.0, abs=1e-14)
 
     def test_ghz8_canonical_expectations(self):
         state = ghz(8)
-        assert expectation(state, mz_operator(8)) == pytest.approx(1.0, abs=1e-12)
-        assert expectation(state, mx_operator(8)) == pytest.approx(1.0, abs=1e-12)
+        assert dense_value(mz_terms(8), state) == pytest.approx(1.0, abs=1e-12)
+        assert dense_value(mx_terms(8), state) == pytest.approx(1.0, abs=1e-12)
 
     def test_generalized_mx_rule(self):
         # <M_X> = sin(2 theta) cos(phi)
-        assert expectation(ghz(3, math.pi / 6, math.pi / 2),
-                           mx_operator(3)) == pytest.approx(0.0, abs=1e-14)
+        assert dense_value(mx_terms(3), ghz(3, math.pi / 6, math.pi / 2)) == \
+            pytest.approx(0.0, abs=1e-14)
         rng = np.random.default_rng(2)
         for _ in range(6):
             theta = rng.uniform(0, math.pi / 2)
             phi = rng.uniform(0, 2 * math.pi)
             want = math.sin(2 * theta) * math.cos(phi)
-            got = expectation(ghz(4, theta, phi), mx_operator(4))
+            got = dense_value(mx_terms(4), ghz(4, theta, phi))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_generalized_mz_rule(self):
         state = ghz(5, 0.3, 1.1)
         want = math.cos(0.3) ** 2 + math.sin(0.3) ** 2  # populations sum
-        assert expectation(state, mz_operator(5)) == pytest.approx(want, abs=1e-12)
+        assert dense_value(mz_terms(5), state) == pytest.approx(want, abs=1e-12)
 
 
 def reference_product(partition, group_mats, n):
@@ -108,18 +109,18 @@ class TestProductStructure:
     def test_two_bells_contiguous(self):
         pt = Partition(((1, 2), (3, 4)))
         state = product_structure(pt, [bell(), bell()])
-        assert expectation(state, kron([SX] * 4)) == pytest.approx(1.0, abs=1e-12)
+        assert dense_value(mx_terms(4), state) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_bells_interleaved(self):
         pt = Partition(((1, 4), (2, 3)))
         state = product_structure(pt, [bell(), bell()])
-        proj = kron([P0] * 4)
-        assert expectation(state, proj) == pytest.approx(0.25, abs=1e-12)
+        all_zero = ProductTerms(4, (1.0,), ((P0,) * 4,))
+        assert dense_value(all_zero, state) == pytest.approx(0.25, abs=1e-12)
 
     def test_g62_mz(self):
         pt = Partition(((1, 2, 3, 4, 5, 6), (7, 8)))
         state = product_structure(pt, [ghz(6), ghz(2)])
-        assert expectation(state, mz_operator(8)) == pytest.approx(0.5, abs=1e-12)
+        assert dense_value(mz_terms(8), state) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_reference_embedding(self):
         rng = np.random.default_rng(4)
@@ -149,11 +150,11 @@ class TestWhiteNoise:
 
     def test_p_one_kills_mx(self):
         state = white_noise_mix(ghz(3), 1.0)
-        assert expectation(state, mx_operator(3)) == pytest.approx(0.0, abs=1e-14)
+        assert dense_value(mx_terms(3), state) == pytest.approx(0.0, abs=1e-14)
 
     def test_ghz8_witness_value(self):
         state = white_noise_mix(ghz(8), 0.2)
-        val = 2 * expectation(state, mz_operator(8)) + expectation(state, mx_operator(8))
+        val = 2 * dense_value(mz_terms(8), state) + dense_value(mx_terms(8), state)
         assert val == pytest.approx(2.403125, abs=1e-12)
 
     def test_p_out_of_range(self):
@@ -174,8 +175,8 @@ class TestGammaNoise:
             state = ghz_noise_model(n, gd, gw)
             mz_want = 1.0 - gw * (2 ** (n - 1) - 1) / 2 ** (n - 1)
             mx_want = 1.0 - gw - gd
-            assert expectation(state, mz_operator(n)) == pytest.approx(mz_want, abs=1e-12)
-            assert expectation(state, mx_operator(n)) == pytest.approx(mx_want, abs=1e-12)
+            assert dense_value(mz_terms(n), state) == pytest.approx(mz_want, abs=1e-12)
+            assert dense_value(mx_terms(n), state) == pytest.approx(mx_want, abs=1e-12)
 
     def test_rejects_overweight(self):
         with pytest.raises(UsageError):
@@ -189,12 +190,12 @@ class TestVisibilityState:
     def test_pair_weight(self):
         for v1 in (0.0, 0.4, 0.9):
             state = visibility_state(2, v1)
-            assert expectation(state, mx_operator(2)) == pytest.approx(
+            assert dense_value(mx_terms(2), state) == pytest.approx(
                 (1 + v1) / 2, abs=1e-12)
 
     def test_four_party_weight(self):
         state = visibility_state(4, 0.5, 0.5)
-        assert expectation(state, mx_operator(4)) == pytest.approx(27 / 64, abs=1e-12)
+        assert dense_value(mx_terms(4), state) == pytest.approx(27 / 64, abs=1e-12)
 
     def test_odd_n_rejected(self):
         with pytest.raises(UsageError):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from entstruct.core import expectation
+from entstruct.bounds import (
+    a_terms,
+    aprime_terms,
+    depth_terms,
+    mx_terms,
+    mz_terms,
+    separability_terms,
+)
 from entstruct.errors import UsageError, ValidationError
 from entstruct.states import Partition, ghz, product_structure
 from entstruct.witnesses import (
@@ -14,8 +21,6 @@ from entstruct.witnesses import (
     DepthWitness,
     ExpectationPair,
     SeparabilityWitness,
-    build_depth_witness,
-    build_separability_witness,
     decide,
     depth_lower_bound,
     depth_scan,
@@ -27,12 +32,11 @@ from entstruct.witnesses import (
     kprod_bound,
     kprod_bound_entry,
     msep_bound,
-    mx_operator,
-    mz_operator,
     optimal_alpha,
     WitnessValue,
     separability_witness_value,
 )
+from oracles import dense, dense_value
 
 THETA_MID = 3 / 80
 THETA_PLUS = 27 / 80
@@ -49,13 +53,13 @@ def structured_ghz(sizes):
 
 class TestOperators:
     def test_mz_is_edge_projector_sum(self):
-        mz = mz_operator(3).matrix
+        mz = dense(mz_terms(3))
         want = np.zeros((8, 8))
         want[0, 0] = want[7, 7] = 1.0
         assert np.array_equal(mz, want)
 
     def test_mx_is_full_parity(self):
-        mx = mx_operator(2).matrix
+        mx = dense(mx_terms(2))
         assert np.array_equal(mx, np.fliplr(np.eye(4)))
 
 
@@ -115,33 +119,33 @@ class TestMsepBound:
 
 class TestSeparabilityDense:
     def test_bell_value(self):
-        op = build_separability_witness(SeparabilityWitness(2, 2.0))
-        assert expectation(ghz(2), op) == pytest.approx(3.0, abs=1e-12)
+        w = separability_terms(SeparabilityWitness(2, 2.0))
+        assert dense_value(w, ghz(2)) == pytest.approx(3.0, abs=1e-12)
 
     def test_ghz8_value(self):
-        op = build_separability_witness(SeparabilityWitness(8, 2.0))
-        assert expectation(ghz(8), op) == pytest.approx(3.0, abs=1e-12)
+        w = separability_terms(SeparabilityWitness(8, 2.0))
+        assert dense_value(w, ghz(8)) == pytest.approx(3.0, abs=1e-12)
 
     def test_g71_at_four_thirds(self):
         state = structured_ghz([7, 1])
-        op = build_separability_witness(SeparabilityWitness(8, 4 / 3))
-        assert expectation(state, op) == pytest.approx(5 / 3, abs=1e-9)
+        w = separability_terms(SeparabilityWitness(8, 4 / 3))
+        assert dense_value(w, state) == pytest.approx(5 / 3, abs=1e-9)
 
     def test_sign_variant(self):
         spec = SeparabilityWitness(3, 1.5, sign=-1)
-        want = 1.5 * mz_operator(3).matrix - mx_operator(3).matrix
-        assert np.allclose(build_separability_witness(spec).matrix, want)
+        want = 1.5 * dense(mz_terms(3)) - dense(mx_terms(3))
+        assert np.allclose(dense(separability_terms(spec)), want)
 
 
 class TestDepthDense:
     def test_ghz8_matches_cosine_law(self):
-        ops = build_depth_witness(DepthWitness(8, 2.0))
+        spec = DepthWitness(8, 2.0)
         state = ghz(8)
-        a = expectation(state, ops.a_total)
-        ap = expectation(state, ops.aprime_total)
+        a = dense_value(a_terms(spec), state)
+        ap = dense_value(aprime_terms(spec), state)
         assert a == pytest.approx(math.cos(8 * THETA_MID), abs=1e-12)
         assert ap == pytest.approx(math.cos(8 * THETA_PLUS), abs=1e-12)
-        w = expectation(state, ops.witness)
+        w = dense_value(depth_terms(spec), state)
         assert w == pytest.approx(2 * KAPPA**8 * a - ap, abs=1e-12)
 
     @pytest.mark.parametrize("sizes,a_want,ap_want,w_want", [
@@ -150,10 +154,10 @@ class TestDepthDense:
     ])
     def test_ideal_structured_rows(self, sizes, a_want, ap_want, w_want):
         state = structured_ghz(sizes)
-        ops = build_depth_witness(DepthWitness(8, 2.0))
-        a = expectation(state, ops.a_total)
-        ap = expectation(state, ops.aprime_total)
-        w = expectation(state, ops.witness)
+        spec = DepthWitness(8, 2.0)
+        a = dense_value(a_terms(spec), state)
+        ap = dense_value(aprime_terms(spec), state)
+        w = dense_value(depth_terms(spec), state)
         assert a == pytest.approx(a_want, abs=5e-4)
         assert ap == pytest.approx(ap_want, abs=5e-4)
         assert w == pytest.approx(w_want, abs=5e-4)
