@@ -15,15 +15,21 @@ group states one group at a time (terms_expectation).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
-from .core import IMAG_RESIDUE_TOL, check_party_count, pauli_xy_observable, P0, P1, SX
+from .core import (
+    IMAG_RESIDUE_TOL,
+    check_party_count,
+    check_positive_party_count,
+    pauli_xy_observable,
+    P0,
+    P1,
+    SX,
+)
 from .errors import NumericError, UsageError
 from .states import Partition
 from .witnesses import DepthWitness, SeparabilityWitness
@@ -47,7 +53,7 @@ class ProductTerms:
     factors: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        check_party_count(self.n)
+        check_positive_party_count(self.n)
         if len(self.coeffs) != len(self.factors):
             raise UsageError("one coefficient per term is required")
         if not self.coeffs:
@@ -269,154 +275,6 @@ def seesaw_max(
             best_idx = i
     obj, psis, converged, sweeps = results[best_idx]
     return BoundResult(obj, partition, tuple(psis), converged, sweeps)
-
-
-def brute_oracle_max(
-    terms: ProductTerms,
-    partition: Partition,
-    grid_density: int | None = None,
-    samples: int = 20000,
-    seed: int = 0,
-) -> float:
-    """Search the product-state landscape directly, from below.
-
-    With ``grid_density`` set, sweeps a (theta, phi) grid per party; this
-    requires every group to be a single qubit and at most 3 parties (the
-    grid is dense).  Otherwise draws Haar-random product states per group.
-    Either way the result is a lower bound on the true maximum, useful to
-    confirm the see-saw from below.
-    """
-    if partition.n != terms.n:
-        raise UsageError(
-            f"partition covers {partition.n} parties, witness has {terms.n}"
-        )
-    coeffs = np.asarray(terms.coeffs)
-    if grid_density is not None:
-        if partition.max_group != 1:
-            raise UsageError("grid mode supports single-qubit groups only")
-        if partition.n > 3:
-            raise UsageError("grid mode is limited to 3 parties; use random mode")
-        if grid_density < 5:
-            raise UsageError("grid_density below 5 cannot resolve anything useful")
-        thetas = np.linspace(0.0, np.pi, grid_density)
-        phis = np.linspace(0.0, 2 * np.pi, 2 * (grid_density - 1), endpoint=False)
-        tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-        # one qubit's worth of grid states
-        up = np.cos(tg / 2).ravel()
-        dn = (np.sin(tg / 2) * np.exp(1j * pg)).ravel()
-        kets = np.stack([up, dn], axis=1)  # (pts, 2)
-        n = terms.n
-        n_terms = len(terms.coeffs)
-        vals = np.empty((n, n_terms, kets.shape[0]))
-        for p in range(n):
-            for t in range(n_terms):
-                op = np.asarray(terms.factors[t][p], dtype=complex)
-                vals[p, t] = np.real(np.einsum("si,ij,sj->s", kets.conj(), op, kets))
-        if n == 1:
-            return float(np.max(coeffs @ vals[0]))
-        # chunk over party 1's grid point; vectorize the remaining parties
-        inner = []
-        for t in range(n_terms):
-            acc = vals[1, t]
-            for p in range(2, n):
-                acc = np.multiply.outer(acc, vals[p, t])
-            inner.append(acc)
-        best = -math.inf
-        for i in range(kets.shape[0]):
-            total = coeffs[0] * vals[0, 0, i] * inner[0]
-            for t in range(1, n_terms):
-                total = total + coeffs[t] * vals[0, t, i] * inner[t]
-            best = max(best, float(np.max(total)))
-        return best
-
-    if samples < 1:
-        raise UsageError("need at least one random sample")
-    rng = np.random.default_rng(seed)
-    ops = _group_operators(terms, partition)
-    n_terms = len(terms.coeffs)
-    e = np.empty((partition.num_groups, n_terms, samples))
-    for g, size in enumerate(partition.sizes):
-        dim = 2**size
-        # Haar batch over the group's full space: groups are unrestricted
-        psi = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal(
-            (samples, dim))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        for t in range(n_terms):
-            e[g, t] = np.real(np.einsum("si,ij,sj->s", psi.conj(), ops[g][t], psi))
-    # objective per sample: sum_t c_t * prod_g e[g,t,s]
-    per_term = np.prod(e, axis=0)  # (n_terms, samples)
-    return float(np.max(coeffs @ per_term))
-
-
-def mb_lambda_max(x: float, y: float, z: float, alpha: float) -> float:
-    """Top eigenvalue of [[alpha*x, z], [z, alpha*y]]: the exact one-group
-    maximization that closes the separability-bound recursion."""
-    return alpha * (x + y) / 2.0 + math.sqrt(z**2 + alpha**2 * (x - y) ** 2 / 4.0)
-
-
-def _msep_objective(thetas: np.ndarray, alpha: float):
-    """f over the reduced single-qubit angles (phi = 0)."""
-    c2 = np.cos(thetas) ** 2
-    s2 = np.sin(thetas) ** 2
-    x = np.prod(c2, axis=-1)
-    y = np.prod(s2, axis=-1)
-    z = np.prod(np.sin(2 * thetas), axis=-1)
-    return alpha * (x + y) / 2.0 + np.sqrt(z**2 + alpha**2 * (x - y) ** 2 / 4.0)
-
-
-def msep_bound_numeric(
-    n: int, m: int, alpha: float, polish_candidates: int = 30
-) -> float:
-    """Maximize the reduced separability objective over m-1 angles, by a
-    dense vectorized grid scan followed by Nelder-Mead polish of the best
-    candidates.  Independent of the closed-form bound, so the two can be
-    checked against each other.
-    """
-    check_party_count(n)
-    if not 2 <= m <= n:
-        raise UsageError(f"m must lie in 2..{n}, got {m}")
-    if not 0.0 < alpha <= 2.0:
-        raise UsageError(f"alpha must lie in (0, 2], got {alpha}")
-    dims = m - 1
-    pts = {1: 201, 2: 61, 3: 41, 4: 21, 5: 13}.get(dims, 9)
-    axis = np.linspace(0.0, np.pi / 2, pts)
-    grids = np.meshgrid(*([axis] * dims), indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = _msep_objective(thetas, alpha)
-    order = np.argsort(vals)[::-1][:polish_candidates]
-    best = float(vals[order[0]])
-    for idx in order:
-        res = optimize.minimize(
-            lambda th: -_msep_objective(np.asarray(th), alpha),
-            thetas[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        best = max(best, float(-res.fun))
-    return best
-
-
-def sos_gap(m: int, xs) -> float:
-    """Slack of the product inequality underlying the separability bound.
-
-    xs are the m-1 squared cosines; ys are their complements.  The gap is
-    (prod(x+y)) * (prod(x+y) - prod x - prod y) - 2^(m-1)(2^(m-1)-2) prod(xy),
-    which is non-negative on [0,1]^(m-1) and zero exactly at the
-    saturation points.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise UsageError(f"m must be an integer >= 2, got {m!r}")
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (m - 1,):
-        raise UsageError(f"xs must have length m-1 = {m - 1}, got shape {xs.shape}")
-    if np.any(xs < 0) or np.any(xs > 1):
-        raise UsageError("xs entries must lie in [0, 1]")
-    ys = 1.0 - xs
-    prod_sum = float(np.prod(xs + ys))
-    prod_x = float(np.prod(xs))
-    prod_y = float(np.prod(ys))
-    coeff = 2 ** (m - 1) * (2 ** (m - 1) - 2)
-    return prod_sum * (prod_sum - prod_x - prod_y) - coeff * float(np.prod(xs * ys))
 
 
 class CurveCell(NamedTuple):

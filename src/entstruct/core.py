@@ -3,8 +3,9 @@
 Pauli matrices, the xy-plane observables of the depth witness and their
 setting angles, and the Hermiticity check of the state constructor.
 Witnesses are sums of products of these single-qubit factors
-(:class:`entstruct.bounds.ProductTerms`).  Density matrices are dense,
-so the party count is capped (default 12, i.e. 4096-dimensional) to
+(:class:`entstruct.bounds.ProductTerms`), which need no party cap.
+Density matrices are dense, so wherever a 2^n state or partition is
+built the party count is capped (default 12, i.e. 4096-dimensional) to
 avoid accidental memory blowups; raise :data:`PARTY_CAP` explicitly if
 you need more.
 """
@@ -35,14 +36,18 @@ THETA_MINUS = -21.0 / 80.0
 THETA_MID = (THETA_PLUS + THETA_MINUS) / 2.0  # 3/80
 
 
-def check_party_count(n: int, cap: int | None = None) -> None:
-    """Reject party counts that are non-positive or beyond the dense cap."""
-    limit = PARTY_CAP if cap is None else cap
+def check_positive_party_count(n: int) -> None:
+    """Reject party counts that are not positive integers."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise UsageError(f"party count must be a positive integer, got {n!r}")
-    if n > limit:
+
+
+def check_party_count(n: int) -> None:
+    """Reject party counts that are non-positive or beyond the dense cap."""
+    check_positive_party_count(n)
+    if n > PARTY_CAP:
         raise UsageError(
-            f"{n} parties exceeds the dense-state cap of {limit}; "
+            f"{n} parties exceeds the dense-state cap of {PARTY_CAP}; "
             "raise entstruct.core.PARTY_CAP if this is intentional"
         )
 

@@ -16,7 +16,7 @@ from .bounds import depth_terms, separability_terms, terms_expectation
 from .core import check_party_count
 from .errors import UsageError
 from .states import Partition, visibility_state
-from .witnesses import DepthWitness, SeparabilityWitness, kprod_bound, msep_bound
+from .witnesses import KPROD_N, DepthWitness, SeparabilityWitness, kprod_bound, msep_bound
 
 
 def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
@@ -115,7 +115,8 @@ def visibility_margin_curve(
     model (group sizes must be even), so the zero crossing of the margin
     traces the detection boundary in the (v1, v2) plane.  ``target`` is
     the m to test against for the separability family (default 2, the
-    GME test) or the k for the depth family (required).  Each point is
+    GME test) or the k for the depth family (required; the depth family
+    needs KPROD_N parties, like depth_scan).  Each point is
     evaluated group by group; no 2^n state is built.
     """
     if any(len(g) % 2 for g in structure.groups):
@@ -132,6 +133,11 @@ def visibility_margin_curve(
     else:
         if target is None:
             raise UsageError("depth witness needs an explicit target k")
+        if witness.n != KPROD_N:
+            raise UsageError(
+                f"producibility bounds exist for {KPROD_N} parties only, "
+                f"structure has {n}"
+            )
         bound = kprod_bound(int(target), witness.gamma)
         terms = depth_terms(witness)
     points = []

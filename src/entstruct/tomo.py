@@ -15,26 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import THETA_MID, THETA_PLUS, QubitObservable, pauli_xy_observable
+from .core import THETA_MID, THETA_PLUS
 from .errors import CountsFormatError, NumericError, UsageError, ValidationError
 from .states import StateDensity
 
 SETTING_LABELS = ("Z", "X", "APLUS", "AMIX")
 
 _SQ2 = 1.0 / np.sqrt(2.0)
-
-
-def setting_observable(label: str) -> QubitObservable:
-    """The single-qubit observable a setting label stands for."""
-    if label == "Z":
-        return QubitObservable((0.0, 0.0, 1.0), "Z")
-    if label == "X":
-        return QubitObservable((1.0, 0.0, 0.0), "X")
-    if label == "APLUS":
-        return pauli_xy_observable(THETA_PLUS, "APLUS")
-    if label == "AMIX":
-        return pauli_xy_observable(THETA_MID, "AMIX")
-    raise UsageError(f"unknown setting label {label!r}; valid: {SETTING_LABELS}")
 
 
 def _setting_basis(label: str) -> np.ndarray:
@@ -201,17 +188,6 @@ def estimate_mz(record: MeasurementRecord, parties) -> Estimate:
     value = hits / total
     sigma = float(np.sqrt(max(0.0, value * (1.0 - value)) / total))
     return Estimate(value, sigma)
-
-
-def marginalize(record: MeasurementRecord, parties) -> MeasurementRecord:
-    """Restrict the record to the given parties (counts summed over the rest)."""
-    parties = _check_parties(record, parties)
-    labels = tuple(record.setting.labels[p - 1] for p in parties)
-    counts: dict[str, int] = {}
-    for outcome, cnt in record.counts.items():
-        key = "".join(outcome[p - 1] for p in parties)
-        counts[key] = counts.get(key, 0) + cnt
-    return MeasurementRecord(MeasurementSetting(labels), counts)
 
 
 def save_counts(records, path) -> None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kprod_table
-from .core import THETA_MINUS, THETA_PLUS, check_party_count
+from .core import THETA_MINUS, THETA_PLUS, check_party_count, check_positive_party_count
 from .errors import UsageError, ValidationError
 
 
@@ -44,7 +44,7 @@ class SeparabilityWitness:
     family = "separability"
 
     def __post_init__(self) -> None:
-        check_party_count(self.n)
+        check_positive_party_count(self.n)
         if not 0.0 < self.alpha <= 2.0:
             raise ValidationError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.sign not in (+1, -1):
@@ -62,7 +62,7 @@ class DepthWitness:
     family = "depth"
 
     def __post_init__(self) -> None:
-        check_party_count(self.n)
+        check_positive_party_count(self.n)
         if self.gamma <= 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
         if abs(self.kappa) < 1e-12:
@@ -190,18 +190,6 @@ def kprod_bound_entry(k: int, gamma: float) -> BoundEntry:
 
 def kprod_bound(k: int, gamma: float) -> float:
     return kprod_bound_entry(k, gamma).value
-
-
-_DI_BOUNDS = {1: 1.0, 2: math.sqrt(2.0), 3: 5.0 / 3.0, 4: 1.8428}
-
-
-def di_bound(k: int, gamma: float = 2.0) -> float:
-    """Device-independent depth bounds, available for gamma = 2 and k <= 4."""
-    if abs(gamma - 2.0) > 1e-9:
-        raise UsageError(f"device-independent bounds are only known for gamma=2, got {gamma}")
-    if k not in _DI_BOUNDS:
-        raise UsageError(f"device-independent bounds cover k in 1..4, got {k!r}")
-    return _DI_BOUNDS[k]
 
 
 @dataclass(frozen=True)

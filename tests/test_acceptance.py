@@ -17,11 +17,9 @@ from entstruct.bounds import (
     canonical_partition,
     depth_terms,
     kprod_curve,
-    msep_bound_numeric,
     mx_terms,
     mz_terms,
     separability_terms,
-    sos_gap,
     terms_expectation,
 )
 from entstruct.inference import InferenceConfig, infer_structure
@@ -51,6 +49,7 @@ from entstruct.witnesses import (
     optimal_alpha,
     separability_witness_value,
 )
+from oracles import msep_bound_numeric, sos_gap
 
 GEOMETRIES = list(itertools.product((True, False), repeat=3))
 

@@ -12,18 +12,21 @@ from entstruct.states import Partition, StateDensity, product_structure
 from entstruct.witnesses import DepthWitness, SeparabilityWitness, msep_bound
 from entstruct.bounds import (
     SeesawConfig,
-    brute_oracle_max,
     canonical_partition,
     depth_terms,
     kprod_curve,
-    mb_lambda_max,
-    msep_bound_numeric,
     seesaw_max,
     separability_terms,
-    sos_gap,
     terms_expectation,
 )
-from oracles import dense, dense_value
+from oracles import (
+    brute_oracle_max,
+    dense,
+    dense_value,
+    mb_lambda_max,
+    msep_bound_numeric,
+    sos_gap,
+)
 
 
 def kron_power(mat, n):

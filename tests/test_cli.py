@@ -269,6 +269,12 @@ class TestVisibility:
                    "--v1-grid", "1.0") == 0
         assert capsys.readouterr().out.splitlines()[1] == "1,1,-0.5"
 
+    def test_sixteen_parties_in_four_blocks(self, capsys):
+        # four GHZ4 blocks: MZ = 2 (1/2)^4 = 1/8, so W = 2/8 + 1 = 1.25 vs bound 2
+        assert run("visibility", "--structure", "4+4+4+4",
+                   "--v1-grid", "1.0") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,1,-0.75"
+
     def test_single_block_margin(self, capsys):
         assert run("visibility", "--structure", "8",
                    "--v1-grid", "0.967", "--v2-grid", "0.867") == 0
@@ -286,6 +292,13 @@ class TestVisibility:
         margin = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
         # ideal GHZ8 at gamma=2 sits above the 7-producible bound
         assert margin == pytest.approx(2.229838 - 2.0578, abs=1e-3)
+
+    def test_depth_family_needs_eight_parties(self, capsys):
+        assert run("visibility", "--structure", "4+2", "--family", "depth",
+                   "--target", 3, "--v1-grid", "1.0") == 2
+        assert "8 parties" in capsys.readouterr().err
+        assert run("visibility", "--structure", "4+4", "--family", "depth",
+                   "--target", 3, "--v1-grid", "1.0") == 0
 
 
 def load_pyproject():

@@ -88,9 +88,11 @@ class TestKron:
         with pytest.raises(UsageError):
             ProductTerms(1, (), ())
 
-    def test_party_cap(self):
+    def test_party_count_positive_and_uncapped(self):
+        # a witness builds no 2^n matrix, so it takes any positive n
+        assert one_term(*[I2] * (PARTY_CAP + 4)).n == PARTY_CAP + 4
         with pytest.raises(UsageError):
-            one_term(*[I2] * (PARTY_CAP + 1))
+            ProductTerms(0, (1.0,), ((),))
 
 
 class TestEigMax:

@@ -225,6 +225,16 @@ class TestVisibilityMargin:
             assert p.margin == pytest.approx(dense_value(terms, state) - bound,
                                              abs=1e-12)
 
+    def test_depth_family_needs_the_tabulated_party_count(self):
+        # the table holds 8-party bounds; against them six GHZ pairs would
+        # read margin +0.074 at k = 1, a number that certifies nothing
+        pt = Partition(tuple((p, p + 1) for p in range(1, 13, 2)))
+        with pytest.raises(UsageError, match="8 parties"):
+            visibility_margin_curve(pt, DepthWitness(12, 2.0), [1.0], target=1)
+        with pytest.raises(UsageError, match="8 parties"):
+            visibility_margin_curve(Partition(((1, 2, 3, 4), (5, 6))),
+                                    DepthWitness(6, 2.0), [1.0], target=3)
+
     def test_odd_group_rejected(self):
         pt = Partition(((1, 2, 3), (4,)))
         with pytest.raises(UsageError):

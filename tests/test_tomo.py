@@ -27,13 +27,12 @@ from entstruct.tomo import (
     estimate_mz,
     estimate_product_expectation,
     load_counts,
-    marginalize,
     probabilities,
     sample_counts,
     save_counts,
-    setting_observable,
     write_estimates_csv,
 )
+from oracles import marginalize, setting_observable
 
 
 def einsum_probabilities(state, setting):

@@ -25,7 +25,6 @@ from entstruct.witnesses import (
     depth_lower_bound,
     depth_scan,
     depth_witness_value,
-    di_bound,
     intactness_scan,
     intactness_upper_bound,
     kappa_from_angles,
@@ -236,19 +235,6 @@ class TestKprodLookup:
             kprod_bound_entry(3, 2.5)
         with pytest.raises(UsageError):
             kprod_bound_entry(2.5, 2.0)
-
-
-class TestDiBound:
-    def test_pins(self):
-        assert di_bound(1) == 1.0
-        assert di_bound(2) == pytest.approx(math.sqrt(2))
-        assert di_bound(4) == 1.8428
-
-    def test_gamma_restriction(self):
-        with pytest.raises(UsageError):
-            di_bound(2, gamma=1.6)
-        with pytest.raises(UsageError):
-            di_bound(5)
 
 
 class TestDecisionRules:
