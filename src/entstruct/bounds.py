@@ -4,7 +4,7 @@ The central routine is an alternating see-saw: fix the pure state of every
 group but one, contract the witness into an effective operator on the free
 group, replace that group's state by the top eigenvector, and cycle.  Each
 update is an exact partial maximization, so the objective never decreases;
-random restarts guard against local optima.
+random restarts, run side by side as arrays, guard against local optima.
 
 Everything here works on the one representation of a witness: a sum of
 coefficient times single-qubit tensor factors (ProductTerms), built from
@@ -15,8 +15,8 @@ group states one group at a time (terms_expectation).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,6 @@ class SeesawConfig:
     max_iters: int = 500
     tol: float = 1e-10
     seed: int = 0xB0B
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,13 @@ class BoundResult(NamedTuple):
     iterations: int
 
 
-def _group_operators(terms: ProductTerms, partition: Partition) -> list[list[np.ndarray]]:
+def _group_operators(terms: ProductTerms, partition: Partition) -> list[np.ndarray]:
     """ops[g][t] = tensor product of term t's factors over group g's parties."""
-    ops = []
-    for g in partition.groups:
-        per_term = []
-        for facs in terms.factors:
-            mat = np.eye(1, dtype=complex)
-            for p in g:
-                mat = np.kron(mat, np.asarray(facs[p - 1], dtype=complex))
-            per_term.append(mat)
-        ops.append(per_term)
-    return ops
+    return [
+        np.array([reduce(np.kron, [np.asarray(facs[p - 1], dtype=complex) for p in g])
+                  for facs in terms.factors])
+        for g in partition.groups
+    ]
 
 
 def terms_expectation(
@@ -185,61 +179,70 @@ def terms_expectation(
     return float(total.real)
 
 
-def _haar_kets(rng: np.random.Generator, sizes) -> list[np.ndarray]:
-    """One Haar-random product ket per group: each qubit drawn independently."""
+# A batch of restarts runs side by side with about this many entries in
+# its stack of effective operators: 4 restarts for a 7-party group, every
+# restart for groups of 4 parties or fewer.
+_BATCH_ENTRIES = 2**16
+
+
+def _haar_kets(seed: int, restarts: range, sizes) -> list[np.ndarray]:
+    """kets[g][i]: a Haar-random product ket on group g for restart
+    restarts[i], each qubit drawn independently from default_rng([seed, r])."""
+    draws = np.stack([np.random.default_rng([seed, r]).standard_normal((sum(sizes), 2, 2))
+                      for r in restarts])
+    qubits = draws[:, :, 0] + 1j * draws[:, :, 1]
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
     kets = []
-    for s in sizes:
-        psi = np.ones(1, dtype=complex)
-        for _ in range(s):
-            q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            psi = np.kron(psi, q / np.linalg.norm(q))
+    for group in np.split(qubits, np.cumsum(sizes)[:-1], axis=1):
+        psi = group[:, 0]
+        for q in group.transpose(1, 0, 2)[1:]:
+            psi = (psi[:, :, None] * q[:, None, :]).reshape(len(psi), -1)
         kets.append(psi)
     return kets
 
 
-def _seesaw_single(terms: ProductTerms, partition: Partition,
-                   ops: list[list[np.ndarray]], cfg: SeesawConfig,
-                   restart: int) -> tuple[float, list[np.ndarray], bool, int]:
-    rng = np.random.default_rng([cfg.seed, restart])
-    sizes = partition.sizes
-    psis = _haar_kets(rng, sizes)
-    n_terms = len(terms.coeffs)
-    n_groups = len(sizes)
-    e = np.empty((n_groups, n_terms))
-    for g in range(n_groups):
-        for t in range(n_terms):
-            e[g, t] = float(np.real(psis[g].conj() @ ops[g][t] @ psis[g]))
+def _expectations(ops: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """e[b, t] = <psi_b| ops[t] |psi_b> for every ket b and term t."""
+    return np.stack([(kets.conj() @ op * kets).sum(axis=-1).real for op in ops], axis=-1)
 
-    coeffs = np.asarray(terms.coeffs)
 
-    def objective() -> float:
-        return float(np.sum(coeffs * np.prod(e, axis=0)))
+def _seesaw_batch(coeffs: np.ndarray, ops: list[np.ndarray], kets: list[np.ndarray],
+                  cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep a batch of restarts side by side, updating ``kets`` in place.
 
-    obj = objective()
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_iters + 1):
-        for g in range(n_groups):
-            weights = coeffs * np.prod(np.delete(e, g, axis=0), axis=0)
-            eff = np.zeros_like(ops[g][0])
-            for t in range(n_terms):
-                eff += weights[t] * ops[g][t]
-            vals, vecs = np.linalg.eigh(eff)
-            psis[g] = vecs[:, -1]
-            for t in range(n_terms):
-                e[g, t] = float(np.real(psis[g].conj() @ ops[g][t] @ psis[g]))
-        new_obj = objective()
-        if new_obj < obj - 1e-9:
+    A restart stops sweeping once its objective gains less than cfg.tol.
+    Returns each restart's objective, converged flag and sweep count.
+    """
+    # e[b, g, t]: restart b's expectation of term t's factor on group g
+    e = np.stack([_expectations(o, k) for o, k in zip(ops, kets)], axis=1)
+    obj = np.sum(coeffs * np.prod(e, axis=1), axis=-1)
+    converged = np.zeros(len(obj), dtype=bool)
+    sweeps = np.full(len(obj), cfg.max_iters)
+    live = np.arange(len(obj))
+    for sweep in range(1, cfg.max_iters + 1):
+        e_live = e[live]
+        for g, ops_g in enumerate(ops):
+            weights = coeffs * np.prod(np.delete(e_live, g, axis=1), axis=1)
+            eff = sum(w[:, None, None] * op for w, op in zip(weights.T, ops_g))
+            top = np.linalg.eigh(eff)[1][:, :, -1]
+            kets[g][live] = top
+            e_live[:, g] = _expectations(ops_g, top)
+        old, new = obj[live], np.sum(coeffs * np.prod(e_live, axis=1), axis=-1)
+        dropped = np.flatnonzero(new < old - 1e-9)
+        if dropped.size:
+            i = dropped[0]
             raise NumericError(
-                f"see-saw objective decreased ({obj} -> {new_obj}); "
+                f"see-saw objective decreased ({old[i]} -> {new[i]}); "
                 "the effective-operator update is broken"
             )
-        if new_obj - obj < cfg.tol:
-            obj = new_obj
-            converged = True
+        e[live], obj[live] = e_live, new
+        done = new - old < cfg.tol
+        converged[live[done]] = True
+        sweeps[live[done]] = sweep
+        live = live[~done]
+        if not live.size:
             break
-        obj = new_obj
-    return obj, psis, converged, sweeps
+    return obj, converged, sweeps
 
 
 def seesaw_max(
@@ -248,6 +251,7 @@ def seesaw_max(
     """Best witness expectation over product states of the given partition,
     found by alternating exact per-group maximization with random restarts.
 
+    Restarts run side by side in batches sized to the largest group.
     Deterministic for a fixed config: restart r draws from seed (seed, r),
     and ties between restarts resolve to the lowest restart index.
     """
@@ -259,22 +263,19 @@ def seesaw_max(
     if cfg.restarts < 1:
         raise UsageError("need at least one restart")
     ops = _group_operators(terms, partition)
-
-    def run(r: int):
-        return _seesaw_single(terms, partition, ops, cfg, r)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(r) for r in range(cfg.restarts)]
-
-    best_idx = 0
-    for i in range(1, len(results)):
-        if results[i][0] > results[best_idx][0]:
-            best_idx = i
-    obj, psis, converged, sweeps = results[best_idx]
-    return BoundResult(obj, partition, tuple(psis), converged, sweeps)
+    coeffs = np.asarray(terms.coeffs)
+    batch = max(1, _BATCH_ENTRIES // 4**partition.max_group)
+    best = None
+    for first in range(0, cfg.restarts, batch):
+        kets = _haar_kets(cfg.seed, range(first, min(first + batch, cfg.restarts)),
+                          partition.sizes)
+        obj, converged, sweeps = _seesaw_batch(coeffs, ops, kets, cfg)
+        i = int(np.argmax(obj))
+        if best is None or obj[i] > best.value:
+            best = BoundResult(float(obj[i]), partition,
+                               tuple(k[i].copy() for k in kets),
+                               bool(converged[i]), int(sweeps[i]))
+    return best
 
 
 class CurveCell(NamedTuple):

@@ -12,15 +12,16 @@ or format trouble.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
-import os
 import secrets
 import sys
 
 from . import __version__
 from .bounds import SeesawConfig, kprod_curve
+from .core import check_closed_form_party_count
 from .errors import CountsFormatError, NumericError, UsageError, ValidationError
 from .inference import (
     InferenceConfig,
@@ -131,23 +132,14 @@ def _resolve_seed(seed) -> int:
     return chosen
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ENTSTRUCT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise UsageError(f"ENTSTRUCT_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise UsageError(f"ENTSTRUCT_THREADS must be >= 1, got {val}")
-    return val
-
-
-def _open_csv(path):
+@contextlib.contextmanager
+def _csv_writer(path):
+    """A csv.writer on the file at path, or on stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield csv.writer(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield csv.writer(fh)
 
 
 def _emit_json(doc: dict, path) -> None:
@@ -220,15 +212,10 @@ def cmd_bounds(args) -> int:
         if not 1 <= k <= 7:
             raise UsageError(f"k must lie in 1..7, got {k}")
     gammas = _parse_grid(args.gamma_grid)
-    fh, close = _open_csv(args.out)
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(args.out) as writer:
         writer.writerow(["k", "gamma", "beta", "source", "converged"])
         if args.recompute:
-            threads = args.threads if args.threads is not None else _default_threads()
-            cfg = SeesawConfig(
-                restarts=args.restarts, seed=_resolve_seed(args.seed), threads=threads
-            )
+            cfg = SeesawConfig(restarts=args.restarts, seed=_resolve_seed(args.seed))
             for cell in kprod_curve(gammas, ks=ks, config=cfg):
                 writer.writerow(
                     [cell.k, f"{cell.gamma:.10g}", f"{cell.beta:.6f}", "seesaw",
@@ -241,9 +228,6 @@ def cmd_bounds(args) -> int:
                     writer.writerow(
                         [k, f"{gamma:.10g}", f"{entry.value:.6f}", entry.source, ""]
                     )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -329,6 +313,7 @@ def cmd_infer(args) -> int:
 
 def cmd_thresholds(args) -> int:
     n = args.n
+    check_closed_form_party_count(n)
     theta = math.pi / 4 if args.theta is None else args.theta
     phi = 0.0 if args.phi is None else args.phi
     custom_angles = args.theta is not None or args.phi is not None
@@ -348,14 +333,9 @@ def cmd_thresholds(args) -> int:
             rows.append(
                 ["intactness", n, m, f"{theta:.10g}", f"{phi:.10g}", f"{thr:.6f}"]
             )
-    fh, close = _open_csv(args.out)
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(args.out) as writer:
         writer.writerow(["family", "n", "m", "theta", "phi", "threshold"])
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -372,15 +352,10 @@ def cmd_visibility(args) -> int:
         partition, spec, _parse_grid(args.v1_grid),
         _parse_grid(args.v2_grid), target=args.target,
     )
-    fh, close = _open_csv(args.out)
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(args.out) as writer:
         writer.writerow(["v1", "v2", "margin"])
         for p in points:
             writer.writerow([f"{p.v1:.10g}", f"{p.v2:.10g}", f"{p.margin:.10g}"])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -420,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the see-saw instead of serving stored values")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: ENTSTRUCT_THREADS or 1)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_bounds)
 

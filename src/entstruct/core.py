@@ -7,7 +7,7 @@ Witnesses are sums of products of these single-qubit factors
 Density matrices are dense, so wherever a 2^n state or partition is
 built the party count is capped (default 12, i.e. 4096-dimensional) to
 avoid accidental memory blowups; raise :data:`PARTY_CAP` explicitly if
-you need more.
+you need more.  Closed forms build nothing and take 2..511 parties.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ HERMITIAN_CHECK_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 
 PARTY_CAP = 12
+
+# Closed-form thresholds and scans build no matrix, so the dense cap does
+# not bind them; their float formulas reach 2.0**(2n), finite up to here.
+CLOSED_FORM_PARTY_LIMIT = 511
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -50,6 +54,15 @@ def check_party_count(n: int) -> None:
             f"{n} parties exceeds the dense-state cap of {PARTY_CAP}; "
             "raise entstruct.core.PARTY_CAP if this is intentional"
         )
+
+
+def check_closed_form_party_count(n: int) -> None:
+    """Reject party counts below 2 or beyond the float range of the
+    closed-form formulas; no dense cap applies."""
+    check_positive_party_count(n)
+    if not 2 <= n <= CLOSED_FORM_PARTY_LIMIT:
+        raise UsageError(
+            f"closed-form formulas need 2..{CLOSED_FORM_PARTY_LIMIT} parties, got {n}")
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_CHECK_TOL) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -69,6 +70,11 @@ class InferenceConfig:
     scan_alpha: float = 2.0
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     max_subset_size: int | None = None
+
+    def __post_init__(self) -> None:
+        size = self.max_subset_size
+        if size is not None and (not isinstance(size, numbers.Integral) or size < 2):
+            raise UsageError(f"max_subset_size must be None or an integer >= 2, got {size!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import depth_terms, separability_terms, terms_expectation
-from .core import check_party_count
+from .core import check_closed_form_party_count
 from .errors import UsageError
 from .states import Partition, visibility_state
 from .witnesses import KPROD_N, DepthWitness, SeparabilityWitness, kprod_bound, msep_bound
@@ -22,9 +22,7 @@ from .witnesses import KPROD_N, DepthWitness, SeparabilityWitness, kprod_bound, 
 def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
     """Critical white-noise fraction below which W_se(alpha) still detects
     genuine n-party entanglement of the noisy GHZ state."""
-    check_party_count(n)
-    if n < 2:
-        raise UsageError("the GME test needs at least 2 parties")
+    check_closed_form_party_count(n)
     if not 0.0 < alpha <= 2.0:
         raise UsageError(f"alpha must lie in (0, 2], got {alpha}")
     return alpha / (2.0 + (2.0 - 2.0 ** (2 - n)) * alpha)
@@ -33,7 +31,7 @@ def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
 def intactness_noise_threshold(n: int, m: int) -> float:
     """Critical white-noise fraction below which the m-separability test
     (at the robustness-optimal alpha) still excludes m-separable states."""
-    check_party_count(n)
+    check_closed_form_party_count(n)
     if not 2 <= m <= n:
         raise UsageError(f"m must lie in 2..{n}, got {m}")
     num = 2.0**m - 2.0
@@ -52,9 +50,7 @@ def generalized_ghz_thresholds(
     at phi = pi/2 or 3pi/2 a local phase rotation restores the full
     sin(2 theta), and that value is used instead.
     """
-    check_party_count(n)
-    if n < 2:
-        raise UsageError("thresholds need at least 2 parties")
+    check_closed_form_party_count(n)
     s = float(np.sin(2 * theta) * abs(np.cos(phi)))
     if abs(np.cos(phi)) < 1e-12:
         s = float(abs(np.sin(2 * theta)))
@@ -82,7 +78,7 @@ def estimate_gammas(exp_z: float, exp_x: float, n: int) -> GammaEstimate:
     Values outside the physical simplex are returned as-is with
     valid=False; they signal model mismatch, not a computation error.
     """
-    check_party_count(n)
+    check_closed_form_party_count(n)
     scale = 2.0 ** (n - 1) / (2.0 ** (n - 1) - 1.0)
     gamma_w = (1.0 - exp_z) * scale
     gamma_d = 1.0 - exp_x - gamma_w
@@ -114,8 +110,8 @@ def visibility_margin_curve(
     Every group of ``structure`` is prepared in the two-visibility noise
     model (group sizes must be even), so the zero crossing of the margin
     traces the detection boundary in the (v1, v2) plane.  ``target`` is
-    the m to test against for the separability family (default 2, the
-    GME test) or the k for the depth family (required; the depth family
+    the m in 2..n to test against for the separability family (default 2,
+    the GME test) or the k for the depth family (required; the depth family
     needs KPROD_N parties, like depth_scan).  Each point is
     evaluated group by group; no 2^n state is built.
     """
@@ -128,6 +124,8 @@ def visibility_margin_curve(
         )
     if witness.family == "separability":
         m = 2 if target is None else int(target)
+        if not 2 <= m <= n:
+            raise UsageError(f"m must lie in 2..{n}, got {m}")
         bound = msep_bound(witness.alpha, m)
         terms = separability_terms(witness)
     else:

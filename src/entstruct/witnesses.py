@@ -22,7 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kprod_table
-from .core import THETA_MINUS, THETA_PLUS, check_party_count, check_positive_party_count
+from .core import (
+    THETA_MINUS,
+    THETA_PLUS,
+    check_closed_form_party_count,
+    check_positive_party_count,
+)
 from .errors import UsageError, ValidationError
 
 
@@ -267,7 +272,7 @@ def intactness_upper_bound(
 ) -> int | None:
     """Largest number of separable groups compatible with the measurement
     (see intactness_scan); None when no m is ruled out."""
-    check_party_count(n)
+    check_closed_form_party_count(n)
     return intactness_scan(pair, n, confidence_sigmas)[0]
 
 

@@ -2,8 +2,9 @@
 
 Dense forms of the factored witnesses, brute-force and numerical
 maximizations that check the closed-form bounds and the see-saw, the
-product inequality behind the separability bound, and a record
-marginalizer that checks the estimators.
+see-saw itself run one restart at a time, the product inequality behind
+the separability bound, and a record marginalizer that checks the
+estimators.
 """
 
 import math
@@ -12,7 +13,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import optimize
 
-from entstruct.bounds import _group_operators
+from entstruct.bounds import BoundResult, SeesawConfig, _group_operators
 from entstruct.core import (
     THETA_MID,
     THETA_PLUS,
@@ -20,7 +21,7 @@ from entstruct.core import (
     check_party_count,
     pauli_xy_observable,
 )
-from entstruct.errors import UsageError
+from entstruct.errors import NumericError, UsageError
 from entstruct.tomo import (
     SETTING_LABELS,
     MeasurementRecord,
@@ -114,6 +115,76 @@ def brute_oracle_max(
     # objective per sample: sum_t c_t * prod_g e[g,t,s]
     per_term = np.prod(e, axis=0)  # (n_terms, samples)
     return float(np.max(coeffs @ per_term))
+
+
+def _haar_kets(rng: np.random.Generator, sizes) -> list[np.ndarray]:
+    """One Haar-random product ket per group: each qubit drawn independently."""
+    kets = []
+    for s in sizes:
+        psi = np.ones(1, dtype=complex)
+        for _ in range(s):
+            q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            psi = np.kron(psi, q / np.linalg.norm(q))
+        kets.append(psi)
+    return kets
+
+
+def _seesaw_single(terms, partition, ops, cfg, restart):
+    rng = np.random.default_rng([cfg.seed, restart])
+    sizes = partition.sizes
+    psis = _haar_kets(rng, sizes)
+    n_terms = len(terms.coeffs)
+    n_groups = len(sizes)
+    e = np.empty((n_groups, n_terms))
+    for g in range(n_groups):
+        for t in range(n_terms):
+            e[g, t] = float(np.real(psis[g].conj() @ ops[g][t] @ psis[g]))
+
+    coeffs = np.asarray(terms.coeffs)
+
+    def objective() -> float:
+        return float(np.sum(coeffs * np.prod(e, axis=0)))
+
+    obj = objective()
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, cfg.max_iters + 1):
+        for g in range(n_groups):
+            weights = coeffs * np.prod(np.delete(e, g, axis=0), axis=0)
+            eff = np.zeros_like(ops[g][0])
+            for t in range(n_terms):
+                eff += weights[t] * ops[g][t]
+            vals, vecs = np.linalg.eigh(eff)
+            psis[g] = vecs[:, -1]
+            for t in range(n_terms):
+                e[g, t] = float(np.real(psis[g].conj() @ ops[g][t] @ psis[g]))
+        new_obj = objective()
+        if new_obj < obj - 1e-9:
+            raise NumericError(
+                f"see-saw objective decreased ({obj} -> {new_obj}); "
+                "the effective-operator update is broken"
+            )
+        if new_obj - obj < cfg.tol:
+            obj = new_obj
+            converged = True
+            break
+        obj = new_obj
+    return obj, psis, converged, sweeps
+
+
+def seesaw_reference(terms, partition, config=None) -> BoundResult:
+    """The see-saw one restart at a time, as entstruct.bounds.seesaw_max
+    ran it before restarts were batched: the reference the batched
+    version must reproduce."""
+    cfg = config or SeesawConfig()
+    ops = _group_operators(terms, partition)
+    results = [_seesaw_single(terms, partition, ops, cfg, r) for r in range(cfg.restarts)]
+    best_idx = 0
+    for i in range(1, len(results)):
+        if results[i][0] > results[best_idx][0]:
+            best_idx = i
+    obj, psis, converged, sweeps = results[best_idx]
+    return BoundResult(obj, partition, tuple(psis), converged, sweeps)
 
 
 def mb_lambda_max(x: float, y: float, z: float, alpha: float) -> float:

@@ -1,6 +1,7 @@
 """Numerical bound machinery: see-saw, oracles, closed forms, SOS."""
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     dense_value,
     mb_lambda_max,
     msep_bound_numeric,
+    seesaw_reference,
     sos_gap,
 )
 
@@ -160,6 +162,46 @@ class TestSeesaw:
         terms = separability_terms(SeparabilityWitness(3, 2.0))
         with pytest.raises(UsageError):
             seesaw_max(terms, Partition(((1,), (2,))))
+
+
+class TestBatchedSeesaw:
+    """seesaw_max runs restarts side by side; the reference runs them one
+    at a time.  Both must find the same optimum from the same draws."""
+
+    @pytest.mark.parametrize("terms,partition,restarts,seed", [
+        # 7+1 batches 4 restarts at a time, so 9 restarts make 3 batches
+        (depth_terms(DepthWitness(8, 2.0)), canonical_partition(8, 7), 9, 7),
+        (separability_terms(SeparabilityWitness(8, 2.0)), canonical_partition(8, 7), 9, 99),
+        (depth_terms(DepthWitness(8, 1.6)), canonical_partition(8, 3), 12, 99),
+        (depth_terms(DepthWitness(8, 2.0)), canonical_partition(8, 1), 20, 7),
+        (depth_terms(DepthWitness(6, 1.5)), Partition(((3, 1), (2,), (4, 5, 6))), 10, 7),
+        (separability_terms(SeparabilityWitness(8, 4 / 3, sign=-1)),
+         canonical_partition(8, 1), 20, 7),
+        # a 6-party group batches 16 restarts
+        (separability_terms(SeparabilityWitness(7, 1.2)),
+         Partition(((1, 2, 3, 4, 5, 6), (7,))), 20, 99),
+    ])
+    def test_matches_one_restart_at_a_time(self, terms, partition, restarts, seed):
+        cfg = SeesawConfig(restarts=restarts, seed=seed)
+        got = seesaw_max(terms, partition, cfg)
+        want = seesaw_reference(terms, partition, cfg)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        assert got.converged == want.converged
+        rhos = [np.outer(psi, psi.conj()) for psi in got.group_states]
+        assert terms_expectation(terms, partition, rhos) == pytest.approx(
+            got.value, abs=1e-10)
+
+    def test_memory_is_bounded_by_the_batch(self):
+        # one restart at a time, every restart kept its whole 128 x 128
+        # eigenvector matrix alive: 16 MiB at 60 restarts on 7+1
+        terms = depth_terms(DepthWitness(8, 2.0))
+        tracemalloc.start()
+        try:
+            seesaw_max(terms, canonical_partition(8, 7), SeesawConfig(restarts=60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestBruteOracle:

@@ -13,6 +13,7 @@ import entstruct
 import entstruct.cli
 from entstruct.cli import main
 from entstruct.noise import generalized_ghz_thresholds, gme_noise_threshold
+from entstruct.tomo import MeasurementRecord, MeasurementSetting, save_counts
 
 
 def run(*argv):
@@ -109,6 +110,30 @@ class TestEval:
         assert fit["gamma_w"] == pytest.approx(0.2, abs=0.02)
         assert fit["gamma_d"] == pytest.approx(0.17, abs=0.02)
 
+    def test_closed_forms_need_no_party_cap(self, tmp_path):
+        # 16 parties is past the dense-state cap, which no closed form needs
+        n = 16
+        counts = tmp_path / "c16.json"
+        save_counts([
+            MeasurementRecord(MeasurementSetting.uniform("Z", n),
+                              {"0" * n: 480, "1" * n: 470, "0" * (n - 1) + "1": 50}),
+            MeasurementRecord(MeasurementSetting.uniform("X", n), {"0" * n: 1000}),
+        ], counts)
+        out = tmp_path / "eval.json"
+        assert run("eval", "--counts", counts, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n"] == 16
+        assert doc["noise_fit"]["gamma_w"] == pytest.approx(0.05 * 2**15 / (2**15 - 1))
+
+    def test_one_party_is_a_usage_error(self, tmp_path, capsys):
+        counts = tmp_path / "c1.json"
+        save_counts([
+            MeasurementRecord(MeasurementSetting.uniform("Z", 1), {"0": 60, "1": 40}),
+            MeasurementRecord(MeasurementSetting.uniform("X", 1), {"0": 100}),
+        ], counts)
+        assert run("eval", "--counts", counts) == 2
+        assert "need 2..511 parties, got 1" in capsys.readouterr().err
+
     def test_missing_counts_file(self, tmp_path, capsys):
         assert run("eval", "--counts", tmp_path / "absent.json") == 4
         assert "i/o error" in capsys.readouterr().err
@@ -121,6 +146,12 @@ class TestEval:
 
 
 class TestInfer:
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_max_subset_size_below_two_rejected(self, tmp_path, capsys, size):
+        counts = simulate(tmp_path, "--structure", "2+2+4", seed=3, shots=20000)
+        assert run("infer", "--counts", counts, "--max-subset-size", size) == 2
+        assert "max_subset_size" in capsys.readouterr().err
+
     def test_geometry_roundtrip(self, tmp_path, capsys):
         counts = simulate(tmp_path, "--geometry", "UUD", seed=7)
         out = tmp_path / "report.json"
@@ -219,12 +250,6 @@ class TestBounds:
         assert row[4] == "true"
         assert float(row[2]) == pytest.approx(0.8365, abs=1e-3)
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTSTRUCT_THREADS", "many")
-        assert run("bounds", "--recompute", "--k-range", "1",
-                   "--gamma-grid", "2.0", "--restarts", 2,
-                   "--out", tmp_path / "x.csv") == 2
-
 
 class TestThresholds:
     def test_gme_row(self, capsys):
@@ -249,6 +274,15 @@ class TestThresholds:
         want = generalized_ghz_thresholds(4, 0.55, 0.3, 3)
         assert line.split(",")[-1] == f"{want:.6f}"
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_parties_rejected(self, n, capsys):
+        assert run("thresholds", "--family", "intactness", "--n", n) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_sixteen_parties(self, capsys):
+        assert run("thresholds", "--family", "gme", "--n", 16) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "0.333340"
+
     def test_custom_angles_need_alpha_two(self, capsys):
         assert run("thresholds", "--family", "gme", "--n", 4,
                    "--theta", 0.5, "--alpha", 1.5) == 2
@@ -256,6 +290,11 @@ class TestThresholds:
 
 
 class TestVisibility:
+    def test_separability_target_beyond_party_count(self, capsys):
+        assert run("visibility", "--structure", "2+2", "--alpha", 1.2,
+                   "--target", 9, "--v1-grid", "1.0") == 2
+        assert "2..4" in capsys.readouterr().err
+
     def test_product_sits_at_bound(self, capsys):
         assert run("visibility", "--structure", "4+4",
                    "--v1-grid", "1.0") == 0

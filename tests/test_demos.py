@@ -1,12 +1,14 @@
 """The demo scripts and the table tool run end to end in a fresh
 interpreter against this package."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from entstruct import kprod_table
 from test_cli import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +34,13 @@ def test_demo_runs(name):
 def test_regen_tool_help():
     res = run_script(ROOT / "tools" / "regen_kprod_table.py", "--help")
     assert res.returncode == 0, res.stderr
+
+
+def test_regen_tool_renders_the_table_module():
+    spec = importlib.util.spec_from_file_location(
+        "regen_kprod_table", ROOT / "tools" / "regen_kprod_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = tool.render(kprod_table.TABULATED, kprod_table.COMPUTED_GAMMAS,
+                       kprod_table.COMPUTED_BETA)
+    assert text == (ROOT / "src" / "entstruct" / "kprod_table.py").read_text()

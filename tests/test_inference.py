@@ -171,6 +171,15 @@ class TestInferStructure:
         assert sizes == {2}
         assert (1, 2) in report.proposed_partition
 
+    @pytest.mark.parametrize("size", [1, 0, -3, 2.5, "3"])
+    def test_max_subset_size_below_two_rejected(self, size):
+        with pytest.raises(UsageError):
+            InferenceConfig(max_subset_size=size)
+
+    def test_max_subset_size_accepts_two_and_none(self):
+        assert InferenceConfig(max_subset_size=np.int64(2)).max_subset_size == 2
+        assert InferenceConfig().max_subset_size is None
+
     def test_missing_depth_data(self):
         state = structured_state(RHO_422)
         records = simulate_records(state, seed=4)[:2]  # Z and X only

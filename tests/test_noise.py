@@ -13,6 +13,7 @@ from entstruct.bounds import (
     separability_terms,
     terms_expectation,
 )
+from entstruct.core import CLOSED_FORM_PARTY_LIMIT
 from entstruct.errors import UsageError
 from entstruct.noise import (
     estimate_gammas,
@@ -31,7 +32,9 @@ from entstruct.states import (
 )
 from entstruct.witnesses import (
     DepthWitness,
+    ExpectationPair,
     SeparabilityWitness,
+    intactness_upper_bound,
     kprod_bound,
     msep_bound,
     optimal_alpha,
@@ -136,6 +139,47 @@ class TestGeneralizedThresholds:
         assert above <= msep_bound(2.0, 2)
 
 
+# Every closed-form path, as a function of the party count alone.
+CLOSED_FORMS = {
+    "gme": lambda n: gme_noise_threshold(n),
+    "intactness": lambda n: intactness_noise_threshold(n, n),
+    "generalized_gme": lambda n: generalized_ghz_thresholds(n, 0.6, 0.2),
+    "generalized_m": lambda n: generalized_ghz_thresholds(n, 0.6, 0.2, n),
+    "gammas": lambda n: estimate_gammas(0.9, 0.8, n).gamma_w,
+    "intactness_upper_bound": lambda n: intactness_upper_bound(
+        ExpectationPair(0.5, 0.4), n),
+}
+
+
+class TestClosedFormPartyCount:
+    """The closed forms build no matrix, so the dense-state cap does not
+    bind them; they need n >= 2 and n small enough for float formulas."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_sixteen_parties(self, name):
+        CLOSED_FORMS[name](16)
+
+    def test_sixteen_party_values(self):
+        assert intactness_noise_threshold(16, 16) == 0.5
+        assert generalized_ghz_thresholds(16, math.pi / 4, 0.0, 16) == 0.5
+        assert gme_noise_threshold(16) == pytest.approx(1 / 3, abs=1e-5)
+        assert estimate_gammas(1.0, 1.0, 16) == (0.0, 0.0, True)
+        # alpha*z + x with z = 0.5, x = 0.4 breaks the 2-separable bound only
+        assert intactness_upper_bound(ExpectationPair(0.5, 0.4), 16) is None
+        assert intactness_upper_bound(ExpectationPair(1.0, 1.0), 16) == 1
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @pytest.mark.parametrize("n", [1, 2000, CLOSED_FORM_PARTY_LIMIT + 1])
+    def test_out_of_range_party_count_is_a_usage_error(self, name, n):
+        with pytest.raises(UsageError):
+            CLOSED_FORMS[name](n)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_finite_up_to_the_limit(self, name):
+        value = CLOSED_FORMS[name](CLOSED_FORM_PARTY_LIMIT)
+        assert value is None or math.isfinite(value)
+
+
 class TestGammaEstimation:
     def test_ideal(self):
         est = estimate_gammas(1.0, 1.0, 8)
@@ -198,6 +242,14 @@ class TestVisibilityMargin:
             Partition(((1, 2, 3, 4),)), SeparabilityWitness(4, 2.0), grid)
         margins = [p.margin for p in pts]
         assert all(a < b for a, b in zip(margins, margins[1:]))
+
+    def test_separability_target_within_party_count(self):
+        pt = Partition(((1, 2), (3, 4)))
+        with pytest.raises(UsageError):
+            visibility_margin_curve(pt, SeparabilityWitness(4, 1.2), [1.0], target=5)
+        pts = visibility_margin_curve(pt, SeparabilityWitness(4, 1.2), [1.0], target=4)
+        # two Bell pairs: <M_Z> = 1/2 and <M_X> = 1
+        assert pts[0].margin == pytest.approx(1.6 - msep_bound(1.2, 4), abs=1e-12)
 
     def test_depth_family_needs_target(self):
         pt = Partition(((1, 2, 3, 4, 5, 6, 7, 8),))

@@ -3,9 +3,10 @@ src/entstruct/kprod_table.py.
 
 Runs the package's own see-saw over the canonical k-producible partitions
 for k = 1..7 on a gamma grid of 0.1..2.0 (step 0.1), then rewrites the
-module in place.  The certified TABULATED cells are preserved verbatim.
+module in place.  The certified TABULATED cells are carried over from the
+module as it stands.
 
-Usage: python tools/regen_kprod_table.py [--restarts N] [--threads N]
+Usage: python tools/regen_kprod_table.py [--restarts N]
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from entstruct import bounds, kprod_table
 
-HEADER = '''"""Lookup data for the producibility bounds beta_{8,k}(gamma) of the
+DOCSTRING = '''"""Lookup data for the producibility bounds beta_{8,k}(gamma) of the
 8-party depth witness.
 
 TABULATED holds the certified reference cells.  COMPUTED_GAMMAS /
@@ -26,33 +27,40 @@ COMPUTED_BETA hold a curve produced by this package's own see-saw
 optimizer (tools/regen_kprod_table.py); those values are lower estimates
 of the true maxima, refined over many restarts, and are flagged as
 "computed" wherever they are served.
-"""
+"""'''
 
-from __future__ import annotations
 
-# (k, gamma) -> bound for the 8-party witness, certified reference values.
-TABULATED: dict[tuple[int, float], float] = {
-    (1, 2.0): 0.8365,
-    (2, 2.0): 1.0450,
-    (2, 1.6): 0.7904,
-    (3, 2.0): 1.1699,
-    (3, 1.6): 0.9137,
-    (4, 2.0): 1.3856,
-    (5, 2.0): 1.6357,
-    (6, 2.0): 1.8858,
-    (7, 2.0): 2.0578,
-}
-'''
+def render(tabulated: dict, gammas, beta: dict) -> str:
+    """The text of kprod_table.py holding these certified cells and this
+    computed curve (beta[k] has one value per gamma)."""
+    lines = [
+        DOCSTRING,
+        "",
+        "from __future__ import annotations",
+        "",
+        "# (k, gamma) -> bound for the 8-party witness, certified reference values.",
+        "TABULATED: dict[tuple[int, float], float] = {",
+        *(f"    ({k}, {gamma!r}): {value:.4f}," for (k, gamma), value in tabulated.items()),
+        "}",
+        "",
+        "",
+        "# See-saw curve over the canonical k-producible partitions.",
+        f"COMPUTED_GAMMAS: tuple[float, ...] = {tuple(gammas)!r}",
+        "",
+        "COMPUTED_BETA: dict[int, tuple[float, ...]] = {",
+        *(f"    {k}: ({', '.join(f'{v:.6f}' for v in vals)})," for k, vals in beta.items()),
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--restarts", type=int, default=200)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     gammas = tuple(float(round(g, 10)) for g in np.arange(0.1, 2.0 + 1e-9, 0.1))
-    cfg = bounds.SeesawConfig(restarts=args.restarts, threads=args.threads)
+    cfg = bounds.SeesawConfig(restarts=args.restarts)
     t0 = time.time()
     cells = bounds.kprod_curve(gammas, ks=range(1, 8), config=cfg)
     print(f"computed {len(cells)} cells in {time.time() - t0:.0f}s")
@@ -70,16 +78,8 @@ def main() -> None:
             if beta[k][gi] < beta[k - 1][gi]:
                 beta[k][gi] = beta[k - 1][gi]
 
-    lines = [HEADER]
-    lines.append("\n# See-saw curve over the canonical k-producible partitions.")
-    lines.append(f"COMPUTED_GAMMAS: tuple[float, ...] = {gammas!r}")
-    lines.append("\nCOMPUTED_BETA: dict[int, tuple[float, ...]] = {")
-    for k in range(1, 8):
-        vals = ", ".join(f"{v:.6f}" for v in beta[k])
-        lines.append(f"    {k}: ({vals}),")
-    lines.append("}")
     out = pathlib.Path(kprod_table.__file__)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(render(kprod_table.TABULATED, gammas, beta))
     print(f"wrote {out}")
 
 
