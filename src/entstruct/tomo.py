@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +63,17 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
+    """Counts of one product setting, keyed by outcome string.
+
+    The outcomes are parsed once, at construction, into ``bits`` (one row
+    per outcome, column p-1 True where party p read '1') and ``weights``
+    (its count); the estimators work on these arrays.
+    """
+
     setting: MeasurementSetting
     counts: dict[str, int]
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.setting.n
@@ -79,11 +88,16 @@ class MeasurementRecord:
                     f"count for outcome {key!r} must be a non-negative integer, got {val!r}"
                 )
             clean[key] = int(val)
+        if sum(clean.values()) >= 2**63:
+            raise ValidationError("counts total 2^63 or more shots")
         object.__setattr__(self, "counts", clean)
+        raw = np.frombuffer("".join(clean).encode(), np.uint8).reshape(-1, n)
+        object.__setattr__(self, "bits", raw == ord("1"))
+        object.__setattr__(self, "weights", np.array(list(clean.values()), np.int64))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.weights.sum())
 
 
 def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarray:
@@ -159,13 +173,9 @@ def _check_parties(record: MeasurementRecord, parties) -> tuple[int, ...]:
 def estimate_product_expectation(record: MeasurementRecord, parties) -> Estimate:
     """Sample mean of the +/-1 outcome product over the given parties,
     with the binomial-propagated standard error sqrt((1-v^2)/N)."""
-    parties = _check_parties(record, parties)
+    cols = [p - 1 for p in _check_parties(record, parties)]
     total = record.total
-    acc = 0
-    for outcome, cnt in record.counts.items():
-        ones = sum(1 for p in parties if outcome[p - 1] == "1")
-        acc += cnt if ones % 2 == 0 else -cnt
-    value = acc / total
+    value = int(record.weights @ (1 - 2 * (record.bits[:, cols].sum(1) % 2))) / total
     sigma = float(np.sqrt(max(0.0, 1.0 - value**2) / total))
     return Estimate(value, sigma)
 
@@ -179,13 +189,9 @@ def estimate_mz(record: MeasurementRecord, parties) -> Estimate:
             raise UsageError(
                 f"party {p} was measured in {record.setting.labels[p - 1]}, not Z"
             )
+    sub = record.bits[:, [p - 1 for p in parties]]
     total = record.total
-    hits = 0
-    for outcome, cnt in record.counts.items():
-        bits = {outcome[p - 1] for p in parties}
-        if len(bits) == 1:
-            hits += cnt
-    value = hits / total
+    value = int(record.weights[sub.all(1) | ~sub.any(1)].sum()) / total
     sigma = float(np.sqrt(max(0.0, value * (1.0 - value)) / total))
     return Estimate(value, sigma)
 

@@ -68,8 +68,8 @@ class DepthWitness:
 
     def __post_init__(self) -> None:
         check_positive_party_count(self.n)
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
         if abs(self.kappa) < 1e-12:
             raise ValidationError("setting angles are antipodal: kappa vanishes")
 
@@ -142,8 +142,8 @@ def depth_witness_value(
     pair: ExpectationPair, gamma: float, n: int = 8, kappa: float = KAPPA
 ) -> WitnessValue:
     """Evaluate gamma*kappa^n*<A> - <A'> with propagated standard error."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {gamma}")
     coef = gamma * kappa**n
     value = coef * pair.value_z_or_a - pair.value_x_or_aprime
     sigma = math.sqrt((coef * pair.sigma_z_or_a) ** 2 + pair.sigma_x_or_aprime**2)
@@ -172,8 +172,8 @@ def kprod_bound_entry(k: int, gamma: float) -> BoundEntry:
     """
     if not isinstance(k, (int, np.integer)) or not 1 <= k < KPROD_N:
         raise UsageError(f"k must be an integer in 1..{KPROD_N - 1}, got {k!r}")
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {gamma}")
     for (tk, tg), val in kprod_table.TABULATED.items():
         if tk == int(k) and abs(tg - gamma) < 1e-9:
             return BoundEntry(val, "tabulated")
@@ -218,7 +218,13 @@ def decide(
     confidence_sigmas: float,
 ) -> Evidence:
     """The one decision rule: a bound is violated when the witness value
-    exceeds it by more than confidence_sigmas standard errors (one-sided)."""
+    exceeds it by more than confidence_sigmas standard errors (one-sided).
+    confidence_sigmas must be finite and non-negative; 0 decides on the
+    point value alone."""
+    if not 0 <= confidence_sigmas < math.inf:
+        raise UsageError(
+            f"confidence_sigmas must be finite and non-negative, got {confidence_sigmas}"
+        )
     violated = wv.value > bound + confidence_sigmas * wv.sigma
     return Evidence(subset, witness, wv.value, wv.sigma, bound,
                     "violated" if violated else "not_violated")

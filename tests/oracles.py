@@ -3,8 +3,8 @@
 Dense forms of the factored witnesses, brute-force and numerical
 maximizations that check the closed-form bounds and the see-saw, the
 see-saw itself run one restart at a time, the product inequality behind
-the separability bound, and a record marginalizer that checks the
-estimators.
+the separability bound, and a record marginalizer and per-outcome
+string loops that check the estimators.
 """
 
 import math
@@ -24,6 +24,7 @@ from entstruct.core import (
 from entstruct.errors import NumericError, UsageError
 from entstruct.tomo import (
     SETTING_LABELS,
+    Estimate,
     MeasurementRecord,
     MeasurementSetting,
     _check_parties,
@@ -288,3 +289,35 @@ def marginalize(record: MeasurementRecord, parties) -> MeasurementRecord:
         key = "".join(outcome[p - 1] for p in parties)
         counts[key] = counts.get(key, 0) + cnt
     return MeasurementRecord(MeasurementSetting(labels), counts)
+
+
+def product_expectation_loop(record: MeasurementRecord, parties) -> Estimate:
+    """estimate_product_expectation read off the outcome strings one by one."""
+    parties = _check_parties(record, parties)
+    total = record.total
+    acc = 0
+    for outcome, cnt in record.counts.items():
+        ones = sum(1 for p in parties if outcome[p - 1] == "1")
+        acc += cnt if ones % 2 == 0 else -cnt
+    value = acc / total
+    sigma = float(np.sqrt(max(0.0, 1.0 - value**2) / total))
+    return Estimate(value, sigma)
+
+
+def mz_loop(record: MeasurementRecord, parties) -> Estimate:
+    """estimate_mz read off the outcome strings one by one."""
+    parties = _check_parties(record, parties)
+    for p in parties:
+        if record.setting.labels[p - 1] != "Z":
+            raise UsageError(
+                f"party {p} was measured in {record.setting.labels[p - 1]}, not Z"
+            )
+    total = record.total
+    hits = 0
+    for outcome, cnt in record.counts.items():
+        bits = {outcome[p - 1] for p in parties}
+        if len(bits) == 1:
+            hits += cnt
+    value = hits / total
+    sigma = float(np.sqrt(max(0.0, value * (1.0 - value)) / total))
+    return Estimate(value, sigma)

@@ -82,7 +82,20 @@ class TestSimulate:
                  "--v2", "0.9", name="v.json", shots=500)
 
 
+@pytest.fixture(scope="module")
+def counts_six_two(tmp_path_factory):
+    return simulate(tmp_path_factory.mktemp("six_two"), "--structure", "6+2", seed=7)
+
+
 class TestEval:
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_rejected(self, counts_six_two, tmp_path, capsys, gamma):
+        out = tmp_path / "eval.json"
+        assert run("eval", "--counts", counts_six_two, "--gamma", gamma,
+                   "--out", out) == 2
+        assert "gamma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ideal_7_plus_1(self, tmp_path):
         counts = simulate(tmp_path, "--structure", "7+1", shots=200000)
         out = tmp_path / "eval.json"
@@ -146,6 +159,28 @@ class TestEval:
 
 
 class TestInfer:
+    @pytest.mark.parametrize("conf", ["-1", "nan", "inf"])
+    def test_confidence_must_be_finite_and_non_negative(self, counts_six_two,
+                                                        tmp_path, capsys, conf):
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts_six_two, f"--confidence={conf}",
+                   "--out", out) == 2
+        assert "confidence_sigmas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_confidence_is_legal(self, counts_six_two, tmp_path):
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts_six_two, "--confidence=0",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["confidence_sigmas"] == 0.0
+
+    def test_nan_gamma_grid_rejected(self, counts_six_two, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts_six_two, "--gamma-grid", "nan",
+                   "--out", out) == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [1, 0, -3])
     def test_max_subset_size_below_two_rejected(self, tmp_path, capsys, size):
         counts = simulate(tmp_path, "--structure", "2+2+4", seed=3, shots=20000)

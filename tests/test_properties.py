@@ -1,5 +1,5 @@
-"""Properties of the decision path and of the factored witness
-evaluator, checked over generated inputs."""
+"""Properties of the decision path, of the factored witness evaluator
+and of the counts estimators, checked over generated inputs."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -12,7 +12,15 @@ from entstruct.inference import (
     TableEntry,
     infer_structure,
 )
+from entstruct.errors import UsageError
 from entstruct.states import Partition, StateDensity, product_structure
+from entstruct.tomo import (
+    SETTING_LABELS,
+    MeasurementRecord,
+    MeasurementSetting,
+    estimate_mz,
+    estimate_product_expectation,
+)
 from entstruct.witnesses import (
     DepthWitness,
     ExpectationPair,
@@ -22,7 +30,7 @@ from entstruct.witnesses import (
     msep_bound,
     separability_witness_value,
 )
-from oracles import dense_value
+from oracles import dense_value, mz_loop, product_expectation_loop
 
 values = st.floats(-1.0, 1.0)
 sigmas = st.floats(0.0, 0.3)
@@ -121,3 +129,41 @@ def test_terms_expectation_matches_dense(partition, seed, alpha, sign, gamma,
                   depth_terms(DepthWitness(n, gamma, theta_plus, theta_minus))):
         got = terms_expectation(terms, partition, states)
         assert abs(got - dense_value(terms, joint)) <= 1e-12
+
+
+@st.composite
+def records_and_subsets(draw):
+    """A record of n = 1..10 parties under a mixed-label setting, with a
+    few outcomes whose counts include zeros; a random party subset; and a
+    random subset of its Z-measured parties (empty when there are none)."""
+    n = draw(st.integers(1, 10))
+    labels = draw(st.lists(st.one_of(st.just("Z"), st.sampled_from(SETTING_LABELS)),
+                           min_size=n, max_size=n))
+    outcomes = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=30,
+                             unique=True))
+    counts = {format(o, f"0{n}b"): draw(st.one_of(st.just(0), st.integers(1, 10**6)))
+              for o in outcomes}
+    parties = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    z_parties = [p for p, lab in enumerate(labels, 1) if lab == "Z"]
+    z_subset = draw(st.lists(st.sampled_from(z_parties), min_size=1, unique=True)
+                    if z_parties else st.just([]))
+    return MeasurementRecord(MeasurementSetting(tuple(labels)), counts), parties, z_subset
+
+
+def outcome_of(estimator, record, parties):
+    """The estimate, or the usage error it raises."""
+    try:
+        return estimator(record, parties)
+    except UsageError as exc:
+        return str(exc)
+
+
+@given(records_and_subsets())
+def test_array_estimators_equal_string_loops(case):
+    record, parties, z_subset = case
+    assert (outcome_of(estimate_product_expectation, record, parties)
+            == outcome_of(product_expectation_loop, record, parties))
+    assert outcome_of(estimate_mz, record, parties) == outcome_of(mz_loop, record, parties)
+    if z_subset:
+        assert (outcome_of(estimate_mz, record, z_subset)
+                == outcome_of(mz_loop, record, z_subset))

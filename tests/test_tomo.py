@@ -230,6 +230,16 @@ class TestEstimators:
             est = estimate_mz(rec, tuple(range(1, s + 1)))
             assert est.value == pytest.approx(2 ** (1 - s), abs=1e-14)
 
+    def test_outcome_arrays_follow_string_position(self):
+        rec = MeasurementRecord(MeasurementSetting.uniform("Z", 3),
+                                {"100": 3, "011": 0, "001": 5})
+        assert rec.bits.tolist() == [[True, False, False], [False, True, True],
+                                     [False, False, True]]
+        assert rec.weights.tolist() == [3, 0, 5]
+        assert rec.total == 8 and type(rec.total) is int
+        assert estimate_product_expectation(rec, (1,)).value == 2 / 8
+        assert estimate_mz(rec, (1, 2)).value == 5 / 8
+
     def test_mz_requires_z_setting(self):
         rec = MeasurementRecord(MeasurementSetting.uniform("X", 2), {"00": 10})
         with pytest.raises(UsageError):
@@ -321,6 +331,14 @@ class TestCountsFile:
         doc = {"n": 1, "records": [{"setting": ["Z"], "counts": {"0": -5}}]}
         path.write_text(json.dumps(doc))
         with pytest.raises(CountsFormatError):
+            load_counts(path)
+
+    def test_count_total_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        doc = {"n": 1, "records": [{"setting": ["Z"],
+                                    "counts": {"0": 2**62, "1": 2**62}}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CountsFormatError, match="2\\^63"):
             load_counts(path)
 
     def test_estimates_csv(self, tmp_path):

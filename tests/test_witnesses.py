@@ -166,6 +166,15 @@ class TestDepthDense:
         assert a == pytest.approx(a_exact, abs=1e-12)
         assert ap == pytest.approx(ap_exact, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValidationError, match="gamma"):
+            DepthWitness(8, gamma)
+        with pytest.raises(UsageError, match="gamma"):
+            depth_witness_value(ExpectationPair(0.8, 0.2), gamma)
+        with pytest.raises(UsageError, match="gamma"):
+            kprod_bound_entry(3, gamma)
+
     def test_antipodal_angles_rejected(self):
         with pytest.raises(ValidationError):
             DepthWitness(4, 2.0, theta_plus=math.pi / 2, theta_minus=-math.pi / 2)
@@ -277,6 +286,21 @@ class TestDecide:
         assert above.verdict == "violated" and above.violated
         assert above.subset == (1, 2)
         assert (above.value, above.sigma, above.bound) == (2.51, 0.25, 2.0)
+
+    @pytest.mark.parametrize("conf", [-1.0, -1e-12, float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_confidence_must_be_finite_and_non_negative(self, conf):
+        with pytest.raises(UsageError, match="confidence_sigmas"):
+            decide((1, 2), "sep(alpha=2)", WitnessValue(2.5, 0.25, 1), 2.0, conf)
+        pair = ExpectationPair(0.80, 0.63, 0.01, 0.01)
+        with pytest.raises(UsageError, match="confidence_sigmas"):
+            intactness_upper_bound(pair, 8, confidence_sigmas=conf)
+        with pytest.raises(UsageError, match="confidence_sigmas"):
+            depth_lower_bound(pair, confidence_sigmas=conf)
+
+    def test_zero_confidence_decides_on_the_point_value(self):
+        row = decide((1, 2), "sep(alpha=2)", WitnessValue(2.01, 0.25, 1), 2.0, 0.0)
+        assert row.violated
 
     def test_intactness_scan_rows(self):
         upper, rows = intactness_scan(ExpectationPair(0.27, 0.86), 8, 0.0)
