@@ -11,6 +11,12 @@ coefficient times single-qubit tensor factors (ProductTerms), built from
 the four observables M_Z, M_X, A and A'.  That is what makes the group
 contraction cheap, and it lets a witness be evaluated on a product of
 group states one group at a time (terms_expectation).
+
+On a group of 2 or more parties the see-saw needs each term's factors to
+be all diagonal (P0, P1) or all anti-diagonal (X, the xy-plane settings),
+as in every witness built here; a single party takes any 2x2 factor.  The
+effective operator is then a direct sum of 2x2 blocks on span{|x>, |~x>}
+(~x the bitwise complement), so each update is closed form, O(terms * 2^s).
 """
 
 from __future__ import annotations
@@ -180,8 +186,8 @@ def terms_expectation(
 
 
 # A batch of restarts runs side by side with about this many entries in
-# its stack of effective operators: 4 restarts for a 7-party group, every
-# restart for groups of 4 parties or fewer.
+# each of its ket stacks: 512 restarts for a 7-party group, every restart
+# of a default run for groups of 8 parties or fewer.
 _BATCH_ENTRIES = 2**16
 
 
@@ -201,12 +207,50 @@ def _haar_kets(seed: int, restarts: range, sizes) -> list[np.ndarray]:
     return kets
 
 
-def _expectations(ops: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """e[b, t] = <psi_b| ops[t] |psi_b> for every ket b and term t."""
-    return np.stack([(kets.conj() @ op * kets).sum(axis=-1).real for op in ops], axis=-1)
+def _group_actions(terms: ProductTerms, partition: Partition) -> list[tuple]:
+    """(diag, flip) per group: O_{g,t}|x> = diag[t, x]|x> + flip[t, x]|~x> with
+    ~x = 2^s - 1 - x, diag[t, x] = prod_q f_q[x_q, x_q], flip[t, x] = prod_q
+    f_q[1 - x_q, x_q]; exact for the terms the module docstring allows."""
+    actions = []
+    for g in partition.groups:
+        fs = np.array([[facs[p - 1] for p in g] for facs in terms.factors], dtype=complex)
+        # (term, party, bit): the factor's diagonal, and its anti-diagonal read by column
+        diag, flip = fs.diagonal(0, -2, -1), fs[..., ::-1, :].diagonal(0, -2, -1)
+        mixed = np.flatnonzero(diag.any(axis=(1, 2)) & flip.any(axis=(1, 2)))
+        if len(g) > 1 and mixed.size:
+            raise UsageError(f"term {mixed[0]} has factors on group {g} that are neither "
+                             "all diagonal nor all anti-diagonal, which the see-saw needs")
+        actions.append(tuple(np.array([reduce(np.kron, v) for v in a]) for a in (diag, flip)))
+    return actions
 
 
-def _seesaw_batch(coeffs: np.ndarray, ops: list[np.ndarray], kets: list[np.ndarray],
+def _expectations(diag: np.ndarray, flip: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """e[b, t] = <psi_b| O_t |psi_b> for every ket b and term t."""
+    return (np.abs(kets)**2 @ diag.T + (kets[:, ::-1].conj() * kets) @ flip.T).real
+
+
+def _top_kets(diag: np.ndarray, flip: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Top eigenvector of H_b = sum_t weights[b, t] O_t for every row b.
+
+    H_b is a direct sum of 2x2 blocks [[P, conj(C)], [C, Q]] on span{|x>, |~x>}
+    with top eigenvalue (P + Q)/2 + sqrt(((P - Q)/2)^2 + |C|^2).  The block
+    with the largest one wins, the lowest x on ties, and its eigenvector has
+    Bloch polar angle atan2(|C|, (P - Q)/2) and azimuth arg(C).
+    """
+    half = diag.shape[1] // 2
+    on = (weights @ diag).real
+    p, q, c = on[:, :half], on[:, ::-1][:, :half], (weights @ flip)[:, :half]
+    x = np.argmax((p + q) / 2 + np.hypot((p - q) / 2, np.abs(c)), axis=1)
+    rows = np.arange(len(x))
+    c = c[rows, x]
+    polar = np.arctan2(np.abs(c), (p - q)[rows, x] / 2)
+    kets = np.zeros((len(x), 2 * half), dtype=complex)
+    kets[rows, x] = np.cos(polar / 2)
+    kets[rows, 2 * half - 1 - x] = np.exp(1j * np.angle(c)) * np.sin(polar / 2)
+    return kets
+
+
+def _seesaw_batch(coeffs: np.ndarray, actions: list, kets: list[np.ndarray],
                   cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sweep a batch of restarts side by side, updating ``kets`` in place.
 
@@ -214,26 +258,25 @@ def _seesaw_batch(coeffs: np.ndarray, ops: list[np.ndarray], kets: list[np.ndarr
     Returns each restart's objective, converged flag and sweep count.
     """
     # e[b, g, t]: restart b's expectation of term t's factor on group g
-    e = np.stack([_expectations(o, k) for o, k in zip(ops, kets)], axis=1)
+    e = np.stack([_expectations(*a, k) for a, k in zip(actions, kets)], axis=1)
     obj = np.sum(coeffs * np.prod(e, axis=1), axis=-1)
     converged = np.zeros(len(obj), dtype=bool)
     sweeps = np.full(len(obj), cfg.max_iters)
     live = np.arange(len(obj))
     for sweep in range(1, cfg.max_iters + 1):
         e_live = e[live]
-        for g, ops_g in enumerate(ops):
+        for g, (diag, flip) in enumerate(actions):
             weights = coeffs * np.prod(np.delete(e_live, g, axis=1), axis=1)
-            eff = sum(w[:, None, None] * op for w, op in zip(weights.T, ops_g))
-            top = np.linalg.eigh(eff)[1][:, :, -1]
+            top = _top_kets(diag, flip, weights)
             kets[g][live] = top
-            e_live[:, g] = _expectations(ops_g, top)
+            e_live[:, g] = _expectations(diag, flip, top)
         old, new = obj[live], np.sum(coeffs * np.prod(e_live, axis=1), axis=-1)
         dropped = np.flatnonzero(new < old - 1e-9)
         if dropped.size:
             i = dropped[0]
             raise NumericError(
                 f"see-saw objective decreased ({old[i]} -> {new[i]}); "
-                "the effective-operator update is broken"
+                "the block update is broken"
             )
         e[live], obj[live] = e_live, new
         done = new - old < cfg.tol
@@ -253,7 +296,8 @@ def seesaw_max(
 
     Restarts run side by side in batches sized to the largest group.
     Deterministic for a fixed config: restart r draws from seed (seed, r),
-    and ties between restarts resolve to the lowest restart index.
+    and ties between restarts resolve to the lowest restart index.  A term
+    the block update cannot take (see the module docstring) is a UsageError.
     """
     cfg = config or SeesawConfig()
     if partition.n != terms.n:
@@ -262,14 +306,14 @@ def seesaw_max(
         )
     if cfg.restarts < 1:
         raise UsageError("need at least one restart")
-    ops = _group_operators(terms, partition)
+    actions = _group_actions(terms, partition)
     coeffs = np.asarray(terms.coeffs)
-    batch = max(1, _BATCH_ENTRIES // 4**partition.max_group)
+    batch = max(1, _BATCH_ENTRIES // 2**partition.max_group)
     best = None
     for first in range(0, cfg.restarts, batch):
         kets = _haar_kets(cfg.seed, range(first, min(first + batch, cfg.restarts)),
                           partition.sizes)
-        obj, converged, sweeps = _seesaw_batch(coeffs, ops, kets, cfg)
+        obj, converged, sweeps = _seesaw_batch(coeffs, actions, kets, cfg)
         i = int(np.argmax(obj))
         if best is None or obj[i] > best.value:
             best = BoundResult(float(obj[i]), partition,

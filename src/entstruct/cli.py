@@ -101,8 +101,9 @@ def _parse_grid(text: str, kind=float) -> tuple:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"non-numeric grid bounds in {text!r}") from None
-        if step <= 0 or stop < start:
-            raise UsageError(f"grid needs step > 0 and stop >= start, got {text!r}")
+        if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
+            raise UsageError(
+                f"grid needs finite bounds, step > 0 and stop >= start, got {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(kind(round(start + i * step, 12)) for i in range(count))
     try:

@@ -113,8 +113,9 @@ class ExpectationPair:
             (self.value_z_or_a, self.sigma_z_or_a, "first"),
             (self.value_x_or_aprime, self.sigma_x_or_aprime, "second"),
         ):
-            if s < 0:
-                raise ValidationError(f"{name} sigma must be non-negative, got {s}")
+            if not (math.isfinite(v) and 0 <= s < math.inf):
+                raise ValidationError(f"{name} value must be finite and its sigma finite "
+                                      f"and non-negative, got {v} and {s}")
             if abs(v) > 1.0 + 3.0 * s:
                 raise ValidationError(
                     f"{name} value {v} is outside [-1, 1] by more than 3 sigma"

@@ -7,11 +7,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from entstruct.core import P0, P1, SX, pauli_xy_observable
+from entstruct import bounds
+from entstruct.core import P0, P1, SX, SZ, pauli_xy_observable
 from entstruct.errors import UsageError
 from entstruct.states import Partition, StateDensity, product_structure
 from entstruct.witnesses import DepthWitness, SeparabilityWitness, msep_bound
 from entstruct.bounds import (
+    ProductTerms,
     SeesawConfig,
     canonical_partition,
     depth_terms,
@@ -169,7 +171,7 @@ class TestBatchedSeesaw:
     at a time.  Both must find the same optimum from the same draws."""
 
     @pytest.mark.parametrize("terms,partition,restarts,seed", [
-        # 7+1 batches 4 restarts at a time, so 9 restarts make 3 batches
+        # a 7-party group batches up to 512 restarts, so these run in one batch
         (depth_terms(DepthWitness(8, 2.0)), canonical_partition(8, 7), 9, 7),
         (separability_terms(SeparabilityWitness(8, 2.0)), canonical_partition(8, 7), 9, 99),
         (depth_terms(DepthWitness(8, 1.6)), canonical_partition(8, 3), 12, 99),
@@ -177,7 +179,7 @@ class TestBatchedSeesaw:
         (depth_terms(DepthWitness(6, 1.5)), Partition(((3, 1), (2,), (4, 5, 6))), 10, 7),
         (separability_terms(SeparabilityWitness(8, 4 / 3, sign=-1)),
          canonical_partition(8, 1), 20, 7),
-        # a 6-party group batches 16 restarts
+        # a 6-party group batches up to 1024 restarts
         (separability_terms(SeparabilityWitness(7, 1.2)),
          Partition(((1, 2, 3, 4, 5, 6), (7,))), 20, 99),
     ])
@@ -191,6 +193,16 @@ class TestBatchedSeesaw:
         assert terms_expectation(terms, partition, rhos) == pytest.approx(
             got.value, abs=1e-10)
 
+    def test_restarts_split_across_batches(self, monkeypatch):
+        # 2 restarts per batch on 7+1: the best of 9 is picked across 5 batches
+        monkeypatch.setattr(bounds, "_BATCH_ENTRIES", 2**8)
+        terms = depth_terms(DepthWitness(8, 2.0))
+        cfg = SeesawConfig(restarts=9, seed=7)
+        got = seesaw_max(terms, canonical_partition(8, 7), cfg)
+        want = seesaw_reference(terms, canonical_partition(8, 7), cfg)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+
     def test_memory_is_bounded_by_the_batch(self):
         # one restart at a time, every restart kept its whole 128 x 128
         # eigenvector matrix alive: 16 MiB at 60 restarts on 7+1
@@ -202,6 +214,26 @@ class TestBatchedSeesaw:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+class TestBlockUpdate:
+    def test_mixed_term_on_a_pair_is_rejected(self):
+        terms = ProductTerms(2, (1.0,), ((P0, SX),))
+        with pytest.raises(UsageError, match=r"term 0 .* group \(1, 2\)"):
+            seesaw_max(terms, Partition(((1, 2),)), SeesawConfig(restarts=2))
+        res = seesaw_max(terms, Partition(((1,), (2,))), SeesawConfig(restarts=5))
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_singleton_group_takes_a_general_factor(self):
+        general = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.7]])
+        terms = ProductTerms(3, (1.0, -0.6), ((SX, SX, general),
+                                              (P0, P1, SZ + 0.4 * SX)))
+        partition = Partition(((1, 2), (3,)))
+        cfg = SeesawConfig(restarts=12, seed=5)
+        got = seesaw_max(terms, partition, cfg)
+        want = seesaw_reference(terms, partition, cfg)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        assert got.converged == want.converged
 
 
 class TestBruteOracle:

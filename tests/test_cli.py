@@ -275,6 +275,11 @@ class TestBounds:
         assert row[3] == "computed"
         assert float(row[2]) == pytest.approx(1.1949, abs=1e-3)
 
+    @pytest.mark.parametrize("grid", ["nan:2:0.1", "0.1:inf:0.1", "0.1:2:nan"])
+    def test_non_finite_grid_bounds_rejected(self, capsys, grid):
+        assert run("bounds", "--k-range", "3", "--gamma-grid", grid) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_recompute_matches_stored(self, tmp_path):
         out = tmp_path / "bounds.csv"
         assert run("bounds", "--recompute", "--k-range", "1",

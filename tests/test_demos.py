@@ -36,11 +36,21 @@ def test_regen_tool_help():
     assert res.returncode == 0, res.stderr
 
 
-def test_regen_tool_renders_the_table_module():
+def load_regen_tool():
     spec = importlib.util.spec_from_file_location(
         "regen_kprod_table", ROOT / "tools" / "regen_kprod_table.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    text = tool.render(kprod_table.TABULATED, kprod_table.COMPUTED_GAMMAS,
-                       kprod_table.COMPUTED_BETA)
+    return tool
+
+
+def test_regen_tool_renders_the_table_module():
+    text = load_regen_tool().render(kprod_table.TABULATED, kprod_table.COMPUTED_GAMMAS,
+                                    kprod_table.COMPUTED_BETA)
+    assert text == (ROOT / "src" / "entstruct" / "kprod_table.py").read_text()
+
+
+def test_regen_tool_recomputes_the_table_module():
+    # the full 140-cell see-saw at the committed 200 restarts
+    text = load_regen_tool().table_text(200)
     assert text == (ROOT / "src" / "entstruct" / "kprod_table.py").read_text()

@@ -1,11 +1,22 @@
-"""Properties of the decision path, of the factored witness evaluator
-and of the counts estimators, checked over generated inputs."""
+"""Properties of the decision path, of the factored witness evaluator,
+of the see-saw's block update and of the counts estimators, checked over
+generated inputs."""
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from entstruct.bounds import depth_terms, separability_terms, terms_expectation
+from entstruct.bounds import (
+    ProductTerms,
+    _expectations,
+    _group_actions,
+    _group_operators,
+    _haar_kets,
+    _top_kets,
+    depth_terms,
+    separability_terms,
+    terms_expectation,
+)
 from entstruct.inference import (
     ExpectationTable,
     InferenceConfig,
@@ -129,6 +140,41 @@ def test_terms_expectation_matches_dense(partition, seed, alpha, sign, gamma,
                   depth_terms(DepthWitness(n, gamma, theta_plus, theta_minus))):
         got = terms_expectation(terms, partition, states)
         assert abs(got - dense_value(terms, joint)) <= 1e-12
+
+
+def block_factor(rng, diagonal):
+    """A random Hermitian 2x2 factor, diagonal or anti-diagonal."""
+    if diagonal:
+        return np.diag(rng.uniform(-1, 1, 2)).astype(complex)
+    z = complex(*rng.uniform(-1, 1, 2))
+    return np.array([[0, z.conjugate()], [z, 0]])
+
+
+@given(partitions(), st.lists(st.booleans(), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_block_update_finds_the_dense_top_eigenvalue(partition, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    n = partition.n
+    terms = ProductTerms(n, tuple(rng.uniform(-1, 1, len(diagonal))),
+                         tuple(tuple(block_factor(rng, d) for _ in range(n))
+                               for d in diagonal))
+    coeffs = np.asarray(terms.coeffs)
+    actions = _group_actions(terms, partition)
+    ops = _group_operators(terms, partition)
+    kets = _haar_kets(seed, range(3), partition.sizes)
+    e = np.stack([_expectations(*a, k) for a, k in zip(actions, kets)], axis=1)
+    for g, (diag, flip) in enumerate(actions):
+        dense_e = np.einsum("bi,tij,bj->bt", kets[g].conj(), ops[g], kets[g]).real
+        assert np.max(np.abs(e[:, g] - dense_e)) <= 1e-12
+        weights = coeffs * np.prod(np.delete(e, g, axis=1), axis=1)
+        top = _top_kets(diag, flip, weights)
+        attained = np.sum(_expectations(diag, flip, top) * weights, axis=1)
+        for w, psi, got in zip(weights, top, attained):
+            eff = np.tensordot(w, ops[g], axes=1)
+            want = np.linalg.eigvalsh(eff)[-1]
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+            assert abs((psi.conj() @ eff @ psi).real - want) <= 1e-12
+            assert abs(got - want) <= 1e-12
 
 
 @st.composite

@@ -192,6 +192,14 @@ class TestExpectationPair:
         with pytest.raises(ValidationError):
             ExpectationPair(0.5, 0.5, -0.01, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite(self, bad, slot):
+        args = [0.5, 0.5, 0.01, 0.01]
+        args[slot] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            ExpectationPair(*args)
+
 
 class TestWitnessValues:
     def test_sign_selection(self):
