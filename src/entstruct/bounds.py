@@ -41,11 +41,13 @@ from .states import Partition
 from .witnesses import DepthWitness, SeparabilityWitness
 
 
+MAX_SWEEPS = 500
+CONVERGENCE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SeesawConfig:
     restarts: int = 200
-    max_iters: int = 500
-    tol: float = 1e-10
     seed: int = 0xB0B
 
 
@@ -250,20 +252,20 @@ def _top_kets(diag: np.ndarray, flip: np.ndarray, weights: np.ndarray) -> np.nda
     return kets
 
 
-def _seesaw_batch(coeffs: np.ndarray, actions: list, kets: list[np.ndarray],
-                  cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _seesaw_batch(coeffs: np.ndarray, actions: list,
+                  kets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sweep a batch of restarts side by side, updating ``kets`` in place.
 
-    A restart stops sweeping once its objective gains less than cfg.tol.
+    A restart stops sweeping once its objective gains less than CONVERGENCE_TOL.
     Returns each restart's objective, converged flag and sweep count.
     """
     # e[b, g, t]: restart b's expectation of term t's factor on group g
     e = np.stack([_expectations(*a, k) for a, k in zip(actions, kets)], axis=1)
     obj = np.sum(coeffs * np.prod(e, axis=1), axis=-1)
     converged = np.zeros(len(obj), dtype=bool)
-    sweeps = np.full(len(obj), cfg.max_iters)
+    sweeps = np.full(len(obj), MAX_SWEEPS)
     live = np.arange(len(obj))
-    for sweep in range(1, cfg.max_iters + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         e_live = e[live]
         for g, (diag, flip) in enumerate(actions):
             weights = coeffs * np.prod(np.delete(e_live, g, axis=1), axis=1)
@@ -279,7 +281,7 @@ def _seesaw_batch(coeffs: np.ndarray, actions: list, kets: list[np.ndarray],
                 "the block update is broken"
             )
         e[live], obj[live] = e_live, new
-        done = new - old < cfg.tol
+        done = new - old < CONVERGENCE_TOL
         converged[live[done]] = True
         sweeps[live[done]] = sweep
         live = live[~done]
@@ -313,7 +315,7 @@ def seesaw_max(
     for first in range(0, cfg.restarts, batch):
         kets = _haar_kets(cfg.seed, range(first, min(first + batch, cfg.restarts)),
                           partition.sizes)
-        obj, converged, sweeps = _seesaw_batch(coeffs, actions, kets, cfg)
+        obj, converged, sweeps = _seesaw_batch(coeffs, actions, kets)
         i = int(np.argmax(obj))
         if best is None or obj[i] > best.value:
             best = BoundResult(float(obj[i]), partition,

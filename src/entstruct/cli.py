@@ -51,7 +51,6 @@ from .tomo import (
     load_counts,
     sample_counts,
     save_counts,
-    write_estimates_csv,
 )
 from .witnesses import (
     DEFAULT_GAMMA_GRID,
@@ -239,16 +238,12 @@ def cmd_eval(args) -> int:
 
     doc = {"schema": "entstruct/1", "kind": "evaluation", "n": n,
            "expectations": {}, "witnesses": {}}
-    csv_rows = []
 
     def add_expectations(pair, first, second):
         doc["expectations"][first] = {"value": pair.value_z_or_a,
                                       "sigma": pair.sigma_z_or_a}
         doc["expectations"][second] = {"value": pair.value_x_or_aprime,
                                        "sigma": pair.sigma_x_or_aprime}
-        csv_rows.extend([(everyone, first, pair.value_z_or_a, pair.sigma_z_or_a),
-                         (everyone, second, pair.value_x_or_aprime,
-                          pair.sigma_x_or_aprime)])
 
     pair = est.sep_pair(everyone)
     if pair is not None:
@@ -276,7 +271,11 @@ def cmd_eval(args) -> int:
             "or uniform AMIX and APLUS)"
         )
     if args.csv is not None:
-        write_estimates_csv(args.csv, csv_rows)
+        with _csv_writer(args.csv) as writer:
+            writer.writerow(["subset", "observable", "value", "sigma"])
+            for observable, e in doc["expectations"].items():
+                writer.writerow(["+".join(map(str, everyone)), observable,
+                                 f"{e['value']:.10g}", f"{e['sigma']:.10g}"])
     _emit_json(doc, args.out)
     return 0
 
@@ -299,14 +298,12 @@ def cmd_infer(args) -> int:
     for f in findings:
         print(f"warning: {f}", file=sys.stderr)
     if args.evidence_csv is not None:
-        with open(args.evidence_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+        with _csv_writer(args.evidence_csv) as writer:
             writer.writerow(["subset", "witness", "value", "sigma", "bound", "verdict"])
             for ev in report.evidence:
                 writer.writerow(
-                    ["+".join(str(p) for p in ev.subset), ev.witness,
-                     f"{ev.value:.10g}", f"{ev.sigma:.10g}", f"{ev.bound:.10g}",
-                     ev.verdict]
+                    ["+".join(map(str, ev.subset)), ev.witness, f"{ev.value:.10g}",
+                     f"{ev.sigma:.10g}", f"{ev.bound:.10g}", ev.verdict]
                 )
     _emit_json(doc, args.out)
     return 0
@@ -403,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--csv", default=None, help="also write expectation rows as CSV")
+    p.add_argument("--csv", help="expectation rows as CSV too ('-': stdout)")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=cmd_eval)
 
@@ -416,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma-grid", default=",".join(str(g) for g in DEFAULT_GAMMA_GRID))
     p.add_argument("--max-subset-size", type=int, default=None)
-    p.add_argument("--evidence-csv", default=None)
+    p.add_argument("--evidence-csv", help="evidence rows as CSV too ('-': stdout)")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=cmd_infer)
 

@@ -13,17 +13,19 @@ pre-computed expectation values, which may include subset entries.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .errors import CountsFormatError, UsageError
 from .states import Partition
 from .tomo import (
     Estimate,
     MeasurementRecord,
+    _read_items,
     estimate_mz,
     estimate_product_expectation,
 )
@@ -32,6 +34,7 @@ from .witnesses import (
     KPROD_N,
     Evidence,
     ExpectationPair,
+    check_expectation,
     decide,
     depth_scan,
     intactness_scan,
@@ -79,6 +82,11 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One expectation value of a table: the observable on a party set of
+    distinct positive integers (not bools, floats or strings).  Value and
+    sigma are real numbers (not bools or strings), stored as floats, that
+    obey witnesses.check_expectation."""
+
     observable: str
     parties: tuple[int, ...]
     value: float
@@ -89,15 +97,24 @@ class TableEntry:
             raise UsageError(
                 f"observable must be one of {OBSERVABLES}, got {self.observable!r}"
             )
-        parties = tuple(sorted(int(p) for p in self.parties))
+        try:
+            parties = tuple(self.parties)
+        except TypeError:  # not iterable
+            parties = ()
+        # Python ints pass at C speed; numpy integers are converted; bools fail.
+        integral = set(map(type, parties)) == {int} or all(
+            type(p) is int or isinstance(p, np.integer) for p in parties)
+        parties = tuple(sorted(map(int, parties))) if integral else ()
         if not parties or len(set(parties)) != len(parties) or parties[0] < 1:
-            raise UsageError(f"parties must be distinct positive ints, got {self.parties}")
-        for name in ("value", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma < 0:
-            raise UsageError(f"sigma must be non-negative, got {self.sigma}")
+            raise UsageError(
+                f"parties must be distinct positive integers, got {self.parties!r}")
+        for name, x in (("value", self.value), ("sigma", self.sigma)):
+            if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise UsageError(f"{name} must be a real number, got {x!r}")
+        check_expectation(self.value, self.sigma, "value", UsageError)
         object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 @dataclass(frozen=True)
@@ -109,13 +126,13 @@ class ExpectationTable:
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
         index: dict[tuple[str, tuple[int, ...]], Estimate] = {}
-        for e in entries:
+        for i, e in enumerate(entries):
             if e.parties[-1] > self.n:
                 raise UsageError(
-                    f"entry {e.observable}{e.parties} exceeds n={self.n}"
+                    f"expectation {i}: entry {e.observable}{e.parties} exceeds n={self.n}"
                 )
             if (e.observable, e.parties) in index:
-                raise UsageError(f"duplicate entry {e.observable}{e.parties}")
+                raise UsageError(f"expectation {i}: duplicate entry {e.observable}{e.parties}")
             index[e.observable, e.parties] = Estimate(e.value, e.sigma)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", index)
@@ -383,45 +400,13 @@ def report_to_dict(report: StructureReport) -> dict:
 
 def load_expectation_table(path) -> ExpectationTable:
     """Read an expectation table: {"n": N, "expectations": [{"observable":
-    "MZ", "parties": [1,2], "value": 0.5, "sigma": 0.01}, ...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CountsFormatError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise CountsFormatError(f"{path}: top level must be an object")
-    extra = set(doc) - {"n", "expectations"}
-    if extra:
-        raise CountsFormatError(f"{path}: unknown top-level keys {sorted(extra)}")
-    if "n" not in doc or "expectations" not in doc:
-        raise CountsFormatError(f"{path}: required keys 'n' and 'expectations' missing")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise CountsFormatError(f"{path}: 'n' must be a positive integer")
-    if not isinstance(doc["expectations"], list) or not doc["expectations"]:
-        raise CountsFormatError(f"{path}: 'expectations' must be a non-empty list")
-    entries = []
-    for i, raw in enumerate(doc["expectations"]):
-        where = f"{path}: expectation {i}"
-        if not isinstance(raw, dict):
-            raise CountsFormatError(f"{where}: must be an object")
-        extra = set(raw) - {"observable", "parties", "value", "sigma"}
-        if extra:
-            raise CountsFormatError(f"{where}: unknown keys {sorted(extra)}")
-        try:
-            entries.append(
-                TableEntry(
-                    observable=raw.get("observable"),
-                    parties=tuple(raw.get("parties", ())),
-                    value=float(raw.get("value")),
-                    sigma=float(raw.get("sigma", 0.0)),
-                )
-            )
-        except (UsageError, TypeError, ValueError) as exc:
-            raise CountsFormatError(f"{where}: {exc}") from exc
+    "MZ", "parties": [1,2], "value": 0.5, "sigma": 0.01}, ...]}; sigma is
+    optional (default 0).  Malformed entries, entries beyond n and repeated
+    (observable, party set) pairs are rejected with the entry named."""
+    n, entries = _read_items(
+        path, "expectations", "expectation", ("observable", "parties", "value"), ("sigma",),
+        lambda n, raw: TableEntry(raw["observable"], raw["parties"], raw["value"],
+                                  raw.get("sigma", 0.0)))
     try:
         return ExpectationTable(n, tuple(entries))
     except UsageError as exc:

@@ -16,7 +16,22 @@ from .bounds import depth_terms, separability_terms, terms_expectation
 from .core import check_closed_form_party_count
 from .errors import UsageError
 from .states import Partition, visibility_state
-from .witnesses import KPROD_N, DepthWitness, SeparabilityWitness, kprod_bound, msep_bound
+from .witnesses import (
+    KPROD_N,
+    DepthWitness,
+    SeparabilityWitness,
+    kprod_bound,
+    msep_bound,
+    optimal_alpha,
+)
+
+
+def _critical_noise(n: int, alpha: float, s: float, m: int) -> float:
+    """White-noise fraction p at which alpha*<M_Z> + |<M_X>| of the noisy
+    n-party GHZ state with coherence s, (1-p)(alpha + s) + p*alpha*2^(1-n),
+    falls to the m-separable bound (0 when it starts at or below it)."""
+    num = alpha + s - msep_bound(alpha, m)
+    return max(0.0, num / (alpha + s - alpha * 2.0 ** (1 - n)))
 
 
 def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
@@ -25,18 +40,13 @@ def gme_noise_threshold(n: int, alpha: float = 2.0) -> float:
     check_closed_form_party_count(n)
     if not 0.0 < alpha <= 2.0:
         raise UsageError(f"alpha must lie in (0, 2], got {alpha}")
-    return alpha / (2.0 + (2.0 - 2.0 ** (2 - n)) * alpha)
+    return _critical_noise(n, alpha, 1.0, 2)
 
 
 def intactness_noise_threshold(n: int, m: int) -> float:
     """Critical white-noise fraction below which the m-separability test
     (at the robustness-optimal alpha) still excludes m-separable states."""
-    check_closed_form_party_count(n)
-    if not 2 <= m <= n:
-        raise UsageError(f"m must lie in 2..{n}, got {m}")
-    num = 2.0**m - 2.0
-    den = 2.0 * (2.0**m - 2.0 ** (m - n) - 1.0)
-    return num / den
+    return generalized_ghz_thresholds(n, np.pi / 4, 0.0, m)
 
 
 def generalized_ghz_thresholds(
@@ -45,24 +55,21 @@ def generalized_ghz_thresholds(
     """Noise thresholds for the generalized GHZ state cos(theta)|0..0> +
     e^{i phi} sin(theta)|1..1>.
 
-    With m=None returns the GME threshold, otherwise the m-separability
-    threshold.  The effective coherence is s = sin(2 theta)|cos(phi)|;
-    at phi = pi/2 or 3pi/2 a local phase rotation restores the full
-    sin(2 theta), and that value is used instead.
+    With m=None returns the GME threshold at alpha = 2, otherwise the
+    m-separability threshold at the robustness-optimal alpha.  The
+    effective coherence is s = |sin(2 theta) cos(phi)|; at phi = pi/2 or
+    3pi/2 a local phase rotation restores the full |sin(2 theta)|, and that
+    value is used instead.
     """
     check_closed_form_party_count(n)
-    s = float(np.sin(2 * theta) * abs(np.cos(phi)))
+    s = float(abs(np.sin(2 * theta) * np.cos(phi)))
     if abs(np.cos(phi)) < 1e-12:
         s = float(abs(np.sin(2 * theta)))
     if m is None:
-        return s / (2.0 + s - 2.0 ** (2 - n))
+        return _critical_noise(n, 2.0, s, 2)
     if not 2 <= m <= n:
         raise UsageError(f"m must lie in 2..{n}, got {m}")
-    num = 2.0**n * (2.0**m - 2.0) * s
-    den = num + 2.0**m * (2.0**n - 2.0)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return _critical_noise(n, optimal_alpha(m), s, m)
 
 
 class GammaEstimate(NamedTuple):

@@ -57,10 +57,6 @@ class Partition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.groups)
 
-    def key(self) -> frozenset[frozenset[int]]:
-        """Order-insensitive form, for comparing partitions."""
-        return frozenset(frozenset(g) for g in self.groups)
-
 
 @dataclass(frozen=True)
 class StateDensity:

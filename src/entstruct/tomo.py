@@ -8,8 +8,8 @@ depth witness.  Outcomes are bitstrings with party p at position p-1 and
 
 from __future__ import annotations
 
-import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,13 +67,15 @@ class MeasurementRecord:
 
     The outcomes are parsed once, at construction, into ``bits`` (one row
     per outcome, column p-1 True where party p read '1') and ``weights``
-    (its count); the estimators work on these arrays.
+    (its count), and their sum is kept as ``total``; the estimators work
+    on these.  A record holds at least one shot.
     """
 
     setting: MeasurementSetting
     counts: dict[str, int]
     bits: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.setting.n
@@ -88,16 +90,14 @@ class MeasurementRecord:
                     f"count for outcome {key!r} must be a non-negative integer, got {val!r}"
                 )
             clean[key] = int(val)
-        if sum(clean.values()) >= 2**63:
-            raise ValidationError("counts total 2^63 or more shots")
+        total = sum(clean.values())
+        if not 1 <= total < 2**63:
+            raise ValidationError(f"counts total {total} shots, outside 1..2^63 - 1")
         object.__setattr__(self, "counts", clean)
         raw = np.frombuffer("".join(clean).encode(), np.uint8).reshape(-1, n)
         object.__setattr__(self, "bits", raw == ord("1"))
         object.__setattr__(self, "weights", np.array(list(clean.values()), np.int64))
-
-    @property
-    def total(self) -> int:
-        return int(self.weights.sum())
+        object.__setattr__(self, "total", total)
 
 
 def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarray:
@@ -165,8 +165,6 @@ def _check_parties(record: MeasurementRecord, parties) -> tuple[int, ...]:
         raise UsageError(f"duplicate parties in {parties}")
     if any(not 1 <= p <= n for p in parties):
         raise UsageError(f"parties {parties} outside 1..{n}")
-    if record.total < 1:
-        raise UsageError("record holds no counts")
     return tuple(sorted(parties))
 
 
@@ -220,73 +218,78 @@ def save_counts(records, path) -> None:
         fh.write("\n")
 
 
-def _reject_duplicate_keys(pairs):
-    out = {}
-    for key, val in pairs:
-        if key in out:
-            raise CountsFormatError(f"duplicate key {key!r} in JSON object")
-        out[key] = val
-    return out
+def _read_items(path, key: str, noun: str, required: tuple[str, ...],
+                optional: tuple[str, ...], build) -> tuple[int, list]:
+    """Read a JSON file holding exactly {"n": N, key: [item, ...]}: N a positive
+    int, the items a non-empty list of objects with every required key and
+    no other than the optional ones, and no object repeating a key.  Returns
+    N and [build(N, item), ...]; build refuses an item with ValidationError or
+    UsageError.  Every fault is a CountsFormatError naming the path and item."""
+    duplicates = []
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            duplicates.append((obj, Counter(k for k, _ in pairs).most_common(1)[0][0]))
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise CountsFormatError(f"{path}: malformed JSON at line {exc.lineno}, "
+                                f"column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CountsFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    items = doc.get(key) if isinstance(doc, dict) else None
+    if duplicates:
+        obj, dup = duplicates[0]
+        where = path
+        for i, raw in enumerate(items if isinstance(items, list) else ()):
+            if raw is obj or isinstance(raw, dict) and any(v is obj for v in raw.values()):
+                where = f"{path}: {noun} {i}"
+        raise CountsFormatError(f"{where}: duplicate key {dup!r} in JSON object")
+    if not isinstance(doc, dict):
+        raise CountsFormatError(f"{path}: top level must be an object")
+    extra = set(doc) - {"n", key}
+    if extra:
+        raise CountsFormatError(f"{path}: unknown top-level keys {sorted(extra)}")
+    if "n" not in doc or key not in doc:
+        raise CountsFormatError(f"{path}: required keys 'n' and '{key}' missing")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise CountsFormatError(f"{path}: 'n' must be a positive integer, got {n!r}")
+    if not isinstance(items, list) or not items:
+        raise CountsFormatError(f"{path}: '{key}' must be a non-empty list")
+    needed, allowed = set(required), set(required) | set(optional)
+    out = []
+    for i, raw in enumerate(items):
+        where = f"{path}: {noun} {i}"
+        if not isinstance(raw, dict):
+            raise CountsFormatError(f"{where}: must be an object")
+        extra = raw.keys() - allowed
+        if extra:
+            raise CountsFormatError(f"{where}: unknown keys {sorted(extra)}")
+        if not raw.keys() >= needed:
+            raise CountsFormatError(f"{where}: needs {' and '.join(map(repr, required))}")
+        try:
+            out.append(build(n, raw))
+        except (ValidationError, UsageError) as exc:
+            raise CountsFormatError(f"{where}: {exc}") from exc
+    return n, out
+
+
+def _record(n: int, raw: dict) -> MeasurementRecord:
+    if not isinstance(raw["setting"], list) or len(raw["setting"]) != n:
+        raise ValidationError(f"setting must be a list of {n} labels")
+    if not isinstance(raw["counts"], dict):
+        raise ValidationError("counts must be an object")
+    return MeasurementRecord(MeasurementSetting(tuple(raw["setting"])), raw["counts"])
 
 
 def load_counts(path) -> list[MeasurementRecord]:
     """Read a counts file: {"n": N, "records": [{"setting": [...],
-    "counts": {"01...": int, ...}}, ...]}.
-
-    Unknown keys, malformed outcomes, duplicate outcome strings, and
-    bit-length mismatches are all rejected with the offending record named.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise CountsFormatError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise CountsFormatError(f"{path}: top level must be an object")
-    extra = set(doc) - {"n", "records"}
-    if extra:
-        raise CountsFormatError(f"{path}: unknown top-level keys {sorted(extra)}")
-    if "n" not in doc or "records" not in doc:
-        raise CountsFormatError(f"{path}: required keys 'n' and 'records' missing")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise CountsFormatError(f"{path}: 'n' must be a positive integer, got {n!r}")
-    if not isinstance(doc["records"], list) or not doc["records"]:
-        raise CountsFormatError(f"{path}: 'records' must be a non-empty list")
-    records = []
-    for i, raw in enumerate(doc["records"]):
-        where = f"{path}: record {i}"
-        if not isinstance(raw, dict):
-            raise CountsFormatError(f"{where}: must be an object")
-        extra = set(raw) - {"setting", "counts"}
-        if extra:
-            raise CountsFormatError(f"{where}: unknown keys {sorted(extra)}")
-        if "setting" not in raw or "counts" not in raw:
-            raise CountsFormatError(f"{where}: needs 'setting' and 'counts'")
-        setting_raw = raw["setting"]
-        if not isinstance(setting_raw, list) or len(setting_raw) != n:
-            raise CountsFormatError(
-                f"{where}: setting must be a list of {n} labels"
-            )
-        if not isinstance(raw["counts"], dict):
-            raise CountsFormatError(f"{where}: counts must be an object")
-        try:
-            setting = MeasurementSetting(tuple(setting_raw))
-            records.append(MeasurementRecord(setting, raw["counts"]))
-        except ValidationError as exc:
-            raise CountsFormatError(f"{where}: {exc}") from exc
-    return records
-
-
-def write_estimates_csv(path, rows) -> None:
-    """CSV export: one row per (subset, observable) estimate."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subset", "observable", "value", "sigma"])
-        for subset, observable, value, sigma in rows:
-            writer.writerow(
-                ["+".join(str(p) for p in subset), observable,
-                 f"{value:.10g}", f"{sigma:.10g}"]
-            )
+    "counts": {"01...": int, ...}}, ...]}.  Unknown keys, malformed or repeated
+    outcomes, bit-length mismatches and records without shots are rejected
+    with the offending record named."""
+    return _read_items(path, "records", "record", ("setting", "counts"), (), _record)[1]

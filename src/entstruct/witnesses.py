@@ -95,6 +95,19 @@ def optimal_alpha(m: int) -> float:
     return 2 ** (m - 1) / (2 ** (m - 1) - 1.0)
 
 
+def check_expectation(value: float, sigma: float, name: str,
+                      error: type[Exception] = ValidationError) -> None:
+    """The rule every measured expectation of a +/-1 observable obeys,
+    estimated or read from a table: value finite, sigma finite and
+    non-negative, and |value| <= 1 + 3 sigma.  A breach raises error."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if not 0 <= sigma < math.inf:
+        raise error(f"{name}'s sigma must be finite and non-negative, got {sigma}")
+    if abs(value) > 1.0 + 3.0 * sigma:
+        raise error(f"{name} {value} is outside [-1, 1] by more than 3 sigma")
+
+
 @dataclass(frozen=True)
 class ExpectationPair:
     """A measured (population, coherence) pair with standard errors.
@@ -109,17 +122,8 @@ class ExpectationPair:
     sigma_x_or_aprime: float = 0.0
 
     def __post_init__(self) -> None:
-        for v, s, name in (
-            (self.value_z_or_a, self.sigma_z_or_a, "first"),
-            (self.value_x_or_aprime, self.sigma_x_or_aprime, "second"),
-        ):
-            if not (math.isfinite(v) and 0 <= s < math.inf):
-                raise ValidationError(f"{name} value must be finite and its sigma finite "
-                                      f"and non-negative, got {v} and {s}")
-            if abs(v) > 1.0 + 3.0 * s:
-                raise ValidationError(
-                    f"{name} value {v} is outside [-1, 1] by more than 3 sigma"
-                )
+        check_expectation(self.value_z_or_a, self.sigma_z_or_a, "first value")
+        check_expectation(self.value_x_or_aprime, self.sigma_x_or_aprime, "second value")
 
 
 class WitnessValue(NamedTuple):
@@ -160,8 +164,9 @@ class BoundEntry(NamedTuple):
     source: str  # "tabulated" or "computed"
 
 
-# Depth classification defaults to the certified cells only; pass an explicit
-# grid to range over the computed curve as well.
+# Every gamma = 2.0 cell is certified; at gamma = 1.6 only k = 2 and 3 are,
+# and depth_scan decides against the "computed" see-saw lower estimates for
+# k = 1, 4, 5, 6, 7 all the same.
 DEFAULT_GAMMA_GRID = (1.6, 2.0)
 
 
@@ -258,7 +263,9 @@ def depth_scan(
     """For each gamma find the largest k whose KPROD_N-party producibility
     bound is violated; the depth is then at least k+1.  Returns the best
     such depth (None when not even k=1 is violated) and one evidence row
-    per gamma: the violated k, or k=1 when none is."""
+    per gamma: the violated k, or k=1 when none is.  Bounds come from
+    kprod_bound, tabulated or "computed" alike; a computed cell is a see-saw
+    lower estimate, so a violation of it is not certified."""
     everyone = tuple(range(1, KPROD_N + 1))
     depth: int | None = None
     rows = []

@@ -13,7 +13,13 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import optimize
 
-from entstruct.bounds import BoundResult, SeesawConfig, _group_operators
+from entstruct.bounds import (
+    CONVERGENCE_TOL,
+    MAX_SWEEPS,
+    BoundResult,
+    SeesawConfig,
+    _group_operators,
+)
 from entstruct.core import (
     THETA_MID,
     THETA_PLUS,
@@ -149,7 +155,7 @@ def _seesaw_single(terms, partition, ops, cfg, restart):
     obj = objective()
     converged = False
     sweeps = 0
-    for sweeps in range(1, cfg.max_iters + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         for g in range(n_groups):
             weights = coeffs * np.prod(np.delete(e, g, axis=0), axis=0)
             eff = np.zeros_like(ops[g][0])
@@ -165,7 +171,7 @@ def _seesaw_single(terms, partition, ops, cfg, restart):
                 f"see-saw objective decreased ({obj} -> {new_obj}); "
                 "the effective-operator update is broken"
             )
-        if new_obj - obj < cfg.tol:
+        if new_obj - obj < CONVERGENCE_TOL:
             obj = new_obj
             converged = True
             break

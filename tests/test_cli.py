@@ -147,6 +147,20 @@ class TestEval:
         assert run("eval", "--counts", counts) == 2
         assert "need 2..511 parties, got 1" in capsys.readouterr().err
 
+    def test_csv_dash_prints_the_rows(self, tmp_path, capsys):
+        counts = tmp_path / "bell.json"
+        save_counts([
+            MeasurementRecord(MeasurementSetting.uniform("Z", 2), {"00": 60, "11": 20,
+                                                                   "01": 20}),
+            MeasurementRecord(MeasurementSetting.uniform("X", 2), {"00": 50}),
+        ], counts)
+        out = tmp_path / "eval.json"
+        assert run("eval", "--counts", counts, "--csv", "-", "--out", out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "subset,observable,value,sigma", "1+2,MZ,0.8,0.04", "1+2,MX,1,0"]
+        assert json.loads(out.read_text())["expectations"]["MZ"]["value"] == 0.8
+        assert not (tmp_path / "-").exists()
+
     def test_missing_counts_file(self, tmp_path, capsys):
         assert run("eval", "--counts", tmp_path / "absent.json") == 4
         assert "i/o error" in capsys.readouterr().err
@@ -201,6 +215,25 @@ class TestInfer:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "subset,witness,value,sigma,bound,verdict"
         assert len(lines) > 1
+
+    def test_evidence_csv_dash_prints_the_rows(self, counts_six_two, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts_six_two, "--evidence-csv", "-",
+                   "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        assert lines[0] == "subset,witness,value,sigma,bound,verdict"
+        assert len(lines) == 1 + len(doc["evidence"])
+        assert lines[1].startswith("1+2+3+4+5+6+7+8,sep(alpha=2),")
+        assert not (tmp_path / "-").exists()
+
+    def test_zero_shot_record_exits_4(self, tmp_path, capsys):
+        counts = tmp_path / "empty.json"
+        counts.write_text(json.dumps({"n": 2, "records": [
+            {"setting": ["Z", "Z"], "counts": {"00": 5}},
+            {"setting": ["X", "X"], "counts": {"00": 0}}]}))
+        assert run("infer", "--counts", counts) == 4
+        assert f"{counts}: record 1: counts total 0 shots" in capsys.readouterr().err
 
     def test_expectation_table_input(self, tmp_path):
         table = tmp_path / "table.json"

@@ -128,6 +128,24 @@ class TestGeneralizedThresholds:
         near = generalized_ghz_thresholds(6, math.pi / 4, math.pi / 2 - 0.01)
         assert near < 0.01
 
+    @pytest.mark.parametrize("m", [None, 2, 3])
+    def test_obtuse_theta_mirrors_acute(self, m):
+        # the witness takes the sign of <M_X> that helps, so the sign of
+        # sin(2 theta) cannot matter
+        acute = generalized_ghz_thresholds(5, 0.55, 0.3, m)
+        assert acute > 0
+        assert generalized_ghz_thresholds(5, math.pi - 0.55, 0.3, m) == pytest.approx(
+            acute, abs=1e-15)
+
+    def test_obtuse_boundary_dense(self):
+        # <M_X> < 0 here, so the sign-flipped witness alpha*M_Z - M_X detects
+        n, theta, phi = 4, math.pi - 0.55, 0.3
+        thr = generalized_ghz_thresholds(n, theta, phi)
+        w = separability_terms(SeparabilityWitness(n, 2.0, -1))
+        state = ghz(n, theta, phi)
+        assert full_value(w, white_noise_mix(state, thr - 1e-6)) > msep_bound(2.0, 2)
+        assert full_value(w, white_noise_mix(state, thr + 1e-6)) <= msep_bound(2.0, 2)
+
     def test_generalized_boundary_dense(self):
         n, theta, phi = 4, 0.55, 0.3
         thr = generalized_ghz_thresholds(n, theta, phi)

@@ -3,6 +3,7 @@ of the see-saw's block update and of the counts estimators, checked over
 generated inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from entstruct.inference import (
     TableEntry,
     infer_structure,
 )
-from entstruct.errors import UsageError
+from entstruct.errors import UsageError, ValidationError
 from entstruct.states import Partition, StateDensity, product_structure
 from entstruct.tomo import (
     SETTING_LABELS,
@@ -179,9 +180,10 @@ def test_block_update_finds_the_dense_top_eigenvalue(partition, diagonal, seed):
 
 @st.composite
 def records_and_subsets(draw):
-    """A record of n = 1..10 parties under a mixed-label setting, with a
-    few outcomes whose counts include zeros; a random party subset; and a
-    random subset of its Z-measured parties (empty when there are none)."""
+    """A setting of n = 1..10 parties with mixed labels, a few outcomes
+    whose counts include zeros (all of them zero at times), a random party
+    subset, and a random subset of its Z-measured parties (empty when there
+    are none)."""
     n = draw(st.integers(1, 10))
     labels = draw(st.lists(st.one_of(st.just("Z"), st.sampled_from(SETTING_LABELS)),
                            min_size=n, max_size=n))
@@ -193,7 +195,7 @@ def records_and_subsets(draw):
     z_parties = [p for p, lab in enumerate(labels, 1) if lab == "Z"]
     z_subset = draw(st.lists(st.sampled_from(z_parties), min_size=1, unique=True)
                     if z_parties else st.just([]))
-    return MeasurementRecord(MeasurementSetting(tuple(labels)), counts), parties, z_subset
+    return MeasurementSetting(tuple(labels)), counts, parties, z_subset
 
 
 def outcome_of(estimator, record, parties):
@@ -206,7 +208,12 @@ def outcome_of(estimator, record, parties):
 
 @given(records_and_subsets())
 def test_array_estimators_equal_string_loops(case):
-    record, parties, z_subset = case
+    setting, counts, parties, z_subset = case
+    if not any(counts.values()):
+        with pytest.raises(ValidationError, match="0 shots"):
+            MeasurementRecord(setting, counts)
+        return
+    record = MeasurementRecord(setting, counts)
     assert (outcome_of(estimate_product_expectation, record, parties)
             == outcome_of(product_expectation_loop, record, parties))
     assert outcome_of(estimate_mz, record, parties) == outcome_of(mz_loop, record, parties)

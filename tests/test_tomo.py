@@ -30,7 +30,6 @@ from entstruct.tomo import (
     probabilities,
     sample_counts,
     save_counts,
-    write_estimates_csv,
 )
 from oracles import marginalize, setting_observable
 
@@ -340,10 +339,3 @@ class TestCountsFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(CountsFormatError, match="2\\^63"):
             load_counts(path)
-
-    def test_estimates_csv(self, tmp_path):
-        path = tmp_path / "est.csv"
-        write_estimates_csv(path, [((1, 2), "MZ", 0.5, 0.01)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "subset,observable,value,sigma"
-        assert lines[1] == "1+2,MZ,0.5,0.01"

@@ -239,6 +239,15 @@ class TestKprodLookup:
         assert entry.source == "computed"
         assert kprod_bound(2, 1.6) < entry.value < kprod_bound(2, 2.0)
 
+    def test_default_grid_provenance(self):
+        # every gamma = 2.0 cell is certified; at gamma = 1.6 only k = 2 and 3 are
+        computed = {(k, 1.6) for k in (1, 4, 5, 6, 7)}
+        assert DEFAULT_GAMMA_GRID == (1.6, 2.0)
+        for gamma in DEFAULT_GAMMA_GRID:
+            for k in range(1, 8):
+                want = "computed" if (k, gamma) in computed else "tabulated"
+                assert kprod_bound_entry(k, gamma).source == want, (k, gamma)
+
     def test_monotone_in_k(self):
         vals = [kprod_bound(k, 2.0) for k in range(1, 8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
