@@ -12,11 +12,11 @@ the four observables M_Z, M_X, A and A'.  That is what makes the group
 contraction cheap, and it lets a witness be evaluated on a product of
 group states one group at a time (terms_expectation).
 
-On a group of 2 or more parties the see-saw needs each term's factors to
-be all diagonal (P0, P1) or all anti-diagonal (X, the xy-plane settings),
-as in every witness built here; a single party takes any 2x2 factor.  The
-effective operator is then a direct sum of 2x2 blocks on span{|x>, |~x>}
-(~x the bitwise complement), so each update is closed form, O(terms * 2^s).
+On a group of 2 or more parties each term's factors must be all diagonal
+(P0, P1) or all anti-diagonal (X, the xy-plane settings), as in every
+witness built here; a single party takes any 2x2 factor.  A term then maps
+|x> into span{|x>, |~x>} (~x the bitwise complement), so it is evaluated in
+O(2^s) and each see-saw update is a closed-form 2x2 block problem.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .core import (
     IMAG_RESIDUE_TOL,
     check_party_count,
     check_positive_party_count,
-    pauli_xy_observable,
     P0,
     P1,
     SX,
+    xy_observable,
 )
 from .errors import NumericError, UsageError
 from .states import Partition
@@ -88,15 +88,14 @@ def mx_terms(n: int) -> ProductTerms:
 def a_terms(spec: DepthWitness) -> ProductTerms:
     """A: the n-fold product of the normalized mean setting
     (A_- + A_+)/(2 kappa), an xy observable at the midpoint angle."""
-    a_plus = pauli_xy_observable(spec.theta_plus).matrix
-    a_minus = pauli_xy_observable(spec.theta_minus).matrix
+    a_plus, a_minus = xy_observable(spec.theta_plus), xy_observable(spec.theta_minus)
     mean = (a_minus + a_plus) / (2.0 * spec.kappa)
     return ProductTerms(spec.n, (1.0,), (tuple([mean] * spec.n),))
 
 
 def aprime_terms(spec: DepthWitness) -> ProductTerms:
     """A': the n-fold product of the plus setting."""
-    a_plus = pauli_xy_observable(spec.theta_plus).matrix
+    a_plus = xy_observable(spec.theta_plus)
     return ProductTerms(spec.n, (1.0,), (tuple([a_plus] * spec.n),))
 
 
@@ -143,24 +142,17 @@ class BoundResult(NamedTuple):
     iterations: int
 
 
-def _group_operators(terms: ProductTerms, partition: Partition) -> list[np.ndarray]:
-    """ops[g][t] = tensor product of term t's factors over group g's parties."""
-    return [
-        np.array([reduce(np.kron, [np.asarray(facs[p - 1], dtype=complex) for p in g])
-                  for facs in terms.factors])
-        for g in partition.groups
-    ]
-
-
 def terms_expectation(
     terms: ProductTerms, partition: Partition, group_states
 ) -> float:
     """Tr(rho W) for rho the product of the per-group density matrices:
-    sum_t c_t prod_g Tr(rho_g O_{g,t}), one group at a time.
+    sum_t c_t prod_g Tr(rho_g O_{g,t}), one group at a time, where
+    Tr(rho_g O) = sum_x diag[x] rho_g[x, x] + flip[x] rho_g[x, ~x] (_group_actions).
 
     ``group_states[g]`` (a StateDensity or a square array) acts on the
     parties of ``partition.groups[g]`` in the order listed there.  A
-    full-system state is the one-group partition.
+    full-system state is the one-group partition.  A term the module
+    docstring does not allow is a UsageError.
     """
     if partition.n != terms.n:
         raise UsageError(
@@ -171,17 +163,12 @@ def terms_expectation(
         raise UsageError("need one state per group")
     for rho, size in zip(rhos, partition.sizes):
         if rho.shape != (2**size, 2**size):
-            raise UsageError(
-                f"group of {size} parties needs a {2**size}x{2**size} state, "
-                f"got shape {rho.shape}"
-            )
-    ops = _group_operators(terms, partition)
-    total = 0.0
-    for t, c in enumerate(terms.coeffs):
-        prod = c
-        for g, rho in enumerate(rhos):
-            prod *= np.einsum("ij,ji->", rho, ops[g][t])
-        total += prod
+            raise UsageError(f"group of {size} parties needs a {2**size}x{2**size} "
+                             f"state, got shape {rho.shape}")
+    per_term = np.asarray(terms.coeffs, dtype=complex)
+    for (diag, flip), rho in zip(_group_actions(terms, partition), rhos):
+        per_term = per_term * (diag @ np.diagonal(rho) + flip @ np.fliplr(rho).diagonal())
+    total = per_term.sum()
     if abs(total.imag) >= IMAG_RESIDUE_TOL:
         raise NumericError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -221,7 +208,7 @@ def _group_actions(terms: ProductTerms, partition: Partition) -> list[tuple]:
         mixed = np.flatnonzero(diag.any(axis=(1, 2)) & flip.any(axis=(1, 2)))
         if len(g) > 1 and mixed.size:
             raise UsageError(f"term {mixed[0]} has factors on group {g} that are neither "
-                             "all diagonal nor all anti-diagonal, which the see-saw needs")
+                             "all diagonal nor all anti-diagonal, as 2+ parties need")
         actions.append(tuple(np.array([reduce(np.kron, v) for v in a]) for a in (diag, flip)))
     return actions
 

@@ -47,6 +47,7 @@ from .states import (
     white_noise_mix,
 )
 from .tomo import (
+    OBSERVABLE_LABELS,
     MeasurementSetting,
     load_counts,
     sample_counts,
@@ -61,9 +62,6 @@ from .witnesses import (
     msep_bound,
     separability_witness_value,
 )
-
-CANONICAL_SETTINGS = ("Z", "X", "AMIX", "APLUS")
-
 
 def _parse_structure(text: str) -> Partition:
     """'4+2+2' becomes contiguous groups (1..4)(5,6)(7,8)."""
@@ -181,23 +179,22 @@ def cmd_simulate(args) -> int:
         gw = args.gamma_w or 0.0
         gd = args.gamma_d or 0.0
         groups = [ghz_noise_model(len(g), gd, gw) for g in partition.groups]
-        state = product_structure(partition, groups)
     elif family == "visibility":
         if custom_angles:
             raise UsageError("the visibility model is defined at the standard angles")
         v1 = 1.0 if args.v1 is None else args.v1
         v2 = 1.0 if args.v2 is None else args.v2
         groups = [visibility_state(len(g), v1, v2) for g in partition.groups]
-        state = product_structure(partition, groups)
     else:
         groups = [ghz(len(g), theta, phi) for g in partition.groups]
-        state = product_structure(partition, groups)
-        if family == "white":
-            state = white_noise_mix(state, args.noise_p)
+    state = product_structure(partition, groups)
+    if family == "white":
+        state = white_noise_mix(state, args.noise_p)
 
     seed = _resolve_seed(args.seed)
     records = []
-    for i, label in enumerate(CANONICAL_SETTINGS):
+    # one record per witness input, in table order: Z, X, AMIX, APLUS
+    for i, label in enumerate(OBSERVABLE_LABELS.values()):
         setting = MeasurementSetting.uniform(label, n)
         records.append(sample_counts(state, setting, args.shots, seed=[seed, i]))
     save_counts(records, args.out)
@@ -281,16 +278,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if args.counts is not None:
-        data = load_counts(args.counts)
-    else:
-        data = load_expectation_table(args.expectations)
     cfg = InferenceConfig(
         confidence_sigmas=args.confidence,
         scan_alpha=args.alpha,
         gamma_grid=_parse_grid(args.gamma_grid),
         max_subset_size=args.max_subset_size,
     )
+    if args.counts is not None:
+        data = load_counts(args.counts)
+    else:
+        data = load_expectation_table(args.expectations)
     report = infer_structure(data, cfg)
     findings = consistency_check(report)
     doc = report_to_dict(report)
@@ -424,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="separability class (default: all of 2..n)")
     p.add_argument("--alpha", type=float, default=2.0, help="gme family only")
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
+    p.add_argument("--phi", type=float, default=None,
+                   help="GHZ phase as the fixed X setting measures it: coherence "
+                        "|sin(2 theta) cos(phi)|, so every threshold is 0 at pi/2")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_thresholds)
 

@@ -12,11 +12,9 @@ you need more.  Closed forms build nothing and take 2..511 parties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError
 
 HERMITIAN_CHECK_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
@@ -70,26 +68,6 @@ def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_CHECK_TOL) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) < tol)
 
 
-@dataclass(frozen=True)
-class QubitObservable:
-    """A single-qubit observable n . sigma for a unit Bloch vector n."""
-
-    bloch: tuple[float, float, float]
-    label: str = ""
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.bloch, dtype=float)
-        if b.shape != (3,):
-            raise ValidationError("bloch vector must have exactly 3 components")
-        if abs(np.linalg.norm(b) - 1.0) >= 1e-12:
-            raise ValidationError(
-                f"bloch vector must be unit length, got norm {np.linalg.norm(b)!r}"
-            )
-        object.__setattr__(self, "bloch", (float(b[0]), float(b[1]), float(b[2])))
-        object.__setattr__(self, "matrix", b[0] * SX + b[1] * SY + b[2] * SZ)
-
-
-def pauli_xy_observable(theta: float, label: str = "") -> QubitObservable:
-    """Observable cos(theta) sigma_x + sin(theta) sigma_y."""
-    return QubitObservable((float(np.cos(theta)), float(np.sin(theta)), 0.0), label)
+def xy_observable(theta: float) -> np.ndarray:
+    """The xy-plane observable cos(theta) sigma_x + sin(theta) sigma_y."""
+    return np.cos(theta) * SX + np.sin(theta) * SY

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import CountsFormatError, UsageError
 from .states import Partition
 from .tomo import (
+    OBSERVABLE_LABELS,
     Estimate,
     MeasurementRecord,
     _read_items,
@@ -38,11 +39,12 @@ from .witnesses import (
     decide,
     depth_scan,
     intactness_scan,
+    kprod_bound_entry,
     msep_bound,
     separability_witness_value,
 )
 
-OBSERVABLES = ("MZ", "MX", "A", "APRIME")
+OBSERVABLES = tuple(OBSERVABLE_LABELS)
 
 ASSUMPTIONS = (
     "Conclusions assume the source prepares one fixed entanglement structure "
@@ -66,7 +68,7 @@ class InferenceConfig:
     scan can run 246 subset tests (sizes 2..7) with no family-wise
     correction, so the chance of at least one false accept is up to
     1 - (1 - 0.00135)^246, about 28%.  A Holm step-down correction is
-    planned.
+    planned.  Every field is checked here, once; a breach is a UsageError.
     """
 
     confidence_sigmas: float = 3.0
@@ -75,9 +77,23 @@ class InferenceConfig:
     max_subset_size: int | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.confidence_sigmas < math.inf:
+            raise UsageError("confidence_sigmas must be finite and non-negative, "
+                             f"got {self.confidence_sigmas!r}")
+        if not 0 < self.scan_alpha <= 2:
+            raise UsageError(f"scan_alpha must lie in (0, 2], got {self.scan_alpha!r}")
+        grid = tuple(self.gamma_grid)
+        if not grid:
+            raise UsageError("gamma_grid must not be empty")
+        for k, gamma in product(range(1, KPROD_N), grid):  # what the depth step reads
+            kprod_bound_entry(k, gamma)
+        object.__setattr__(self, "gamma_grid", grid)
         size = self.max_subset_size
         if size is not None and (not isinstance(size, numbers.Integral) or size < 2):
             raise UsageError(f"max_subset_size must be None or an integer >= 2, got {size!r}")
+
+
+_DEFAULT_CONFIG = InferenceConfig()  # checked once, not on every call
 
 
 @dataclass(frozen=True)
@@ -141,15 +157,6 @@ class ExpectationTable:
         return self._index.get((observable, tuple(sorted(int(p) for p in parties))))
 
 
-# Table observable -> (uniform setting label, estimator over count records).
-_RECORD_ESTIMATORS = {
-    "MZ": ("Z", estimate_mz),
-    "MX": ("X", estimate_product_expectation),
-    "A": ("AMIX", estimate_product_expectation),
-    "APRIME": ("APLUS", estimate_product_expectation),
-}
-
-
 class PairEstimator:
     """The witness input pairs, estimated from count records or read from
     an ExpectationTable.
@@ -179,14 +186,14 @@ class PairEstimator:
                 counts = dict(merged[lab].counts)
                 for k, v in rec.counts.items():
                     counts[k] = counts.get(k, 0) + v
-                merged[lab] = MeasurementRecord(rec.setting, counts)
-            else:
-                merged[lab] = rec
+                rec = MeasurementRecord(rec.setting, counts)
+            merged[lab] = rec
         self._by_label = merged
         self._lookup = self._estimate
 
     def _estimate(self, observable: str, parties) -> Estimate | None:
-        label, estimator = _RECORD_ESTIMATORS[observable]
+        label = OBSERVABLE_LABELS[observable]
+        estimator = estimate_mz if label == "Z" else estimate_product_expectation
         rec = self._by_label.get(label)
         return estimator(rec, parties) if rec is not None else None
 
@@ -250,7 +257,7 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
     step and a deeper starting point for the subset scan.  A step that
     does not run leaves its reason in ``report.skipped``.
     """
-    cfg = config or InferenceConfig()
+    cfg = config or _DEFAULT_CONFIG
     est = PairEstimator(data)
     n = est.n
     everyone = tuple(range(1, n + 1))

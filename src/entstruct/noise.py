@@ -56,15 +56,13 @@ def generalized_ghz_thresholds(
     e^{i phi} sin(theta)|1..1>.
 
     With m=None returns the GME threshold at alpha = 2, otherwise the
-    m-separability threshold at the robustness-optimal alpha.  The
-    effective coherence is s = |sin(2 theta) cos(phi)|; at phi = pi/2 or
-    3pi/2 a local phase rotation restores the full |sin(2 theta)|, and that
-    value is used instead.
+    m-separability threshold at the robustness-optimal alpha.  The model is
+    the state as the fixed X setting measures it: <M_X> = sin(2 theta)
+    cos(phi), so the coherence is s = |sin(2 theta) cos(phi)| for every phi,
+    and every threshold is 0 at phi = pi/2 or 3pi/2.
     """
     check_closed_form_party_count(n)
     s = float(abs(np.sin(2 * theta) * np.cos(phi)))
-    if abs(np.cos(phi)) < 1e-12:
-        s = float(abs(np.sin(2 * theta)))
     if m is None:
         return _critical_noise(n, 2.0, s, 2)
     if not 2 <= m <= n:

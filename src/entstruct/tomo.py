@@ -2,8 +2,9 @@
 
 A measurement setting assigns one of four single-qubit observables to
 each party: Z, X, or the two xy-plane settings APLUS / AMIX used by the
-depth witness.  Outcomes are bitstrings with party p at position p-1 and
-'0' standing for the +1 eigenvalue.
+depth witness, as tabulated in SETTING_OBSERVABLES.  Outcomes are
+bitstrings with party p at position p-1 and '0' standing for the +1
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,26 +16,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import THETA_MID, THETA_PLUS
+from .core import SZ, THETA_MID, THETA_PLUS, xy_observable
 from .errors import CountsFormatError, NumericError, UsageError, ValidationError
 from .states import StateDensity
 
-SETTING_LABELS = ("Z", "X", "APLUS", "AMIX")
+# The measurement settings, in one table: each label's observable, Z or
+# an xy-plane one (X at angle 0, APLUS at theta_+, AMIX at the mid angle),
+SETTING_OBSERVABLES = {
+    "Z": SZ,
+    "X": xy_observable(0.0),
+    "APLUS": xy_observable(THETA_PLUS),
+    "AMIX": xy_observable(THETA_MID),
+}
+# and the label each witness input (a table observable) is read from.
+OBSERVABLE_LABELS = {"MZ": "Z", "MX": "X", "A": "AMIX", "APRIME": "APLUS"}
+SETTING_LABELS = tuple(SETTING_OBSERVABLES)
 
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-
-def _setting_basis(label: str) -> np.ndarray:
-    """2x2 unitary whose columns are the (+1, -1) eigenvectors."""
-    if label == "Z":
-        return np.eye(2, dtype=complex)
-    if label == "X":
-        return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-    if label in ("APLUS", "AMIX"):
-        theta = THETA_PLUS if label == "APLUS" else THETA_MID
-        ph = np.exp(1j * theta)
-        return np.array([[_SQ2, _SQ2], [_SQ2 * ph, -_SQ2 * ph]], dtype=complex)
-    raise UsageError(f"unknown setting label {label!r}; valid: {SETTING_LABELS}")
+# Per label, W[2i+j, k] = <j|P_k|i> takes a party's (row i, column j) of rho
+# to its outcome k, P_k = (I +/- O)/2 projecting on the +1 (k = 0) or -1 outcome.
+_OUTCOME_MAPS = {
+    lab: np.stack([(np.eye(2) + sign * obs).T.reshape(4) / 2 for sign in (1, -1)], axis=1)
+    for lab, obs in SETTING_OBSERVABLES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ class MeasurementRecord:
 def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarray:
     """Exact outcome distribution of the product measurement on the state.
 
-    p_k = sum_ij rho_ij prod_q conj(u_q[i_q,k_q]) u_q[j_q,k_q], with u_q the
-    setting basis of party q, contracted one party at a time in O(4^n).
+    p_k = Tr(rho P_k) for the product P_k of each party's outcome projector,
+    contracted one party at a time in O(4^n).
     """
     if state.n_parties != setting.n:
         raise UsageError(
@@ -117,9 +120,7 @@ def probabilities(state: StateDensity, setting: MeasurementSetting) -> np.ndarra
     # Replace the leading (i, j) pair by its outcome bit k, appended last, so
     # the final axes are (k_1, ..., k_n) with party 1 most significant.
     for lab in setting.labels:
-        u = _setting_basis(lab)
-        pair_to_outcome = (u.conj()[:, None, :] * u).reshape(4, 2)  # [2i+j, k]
-        t = (t.reshape(4, -1).T @ pair_to_outcome).reshape(-1)
+        t = (t.reshape(4, -1).T @ _OUTCOME_MAPS[lab]).reshape(-1)
     probs = t.real
     if probs.min() < -1e-10:
         raise NumericError(f"negative outcome probability {probs.min():.3e}")
@@ -200,9 +201,8 @@ def save_counts(records, path) -> None:
     if not records:
         raise UsageError("no records to save")
     n = records[0].setting.n
-    for rec in records:
-        if rec.setting.n != n:
-            raise UsageError("all records in a file must share the party count")
+    if any(rec.setting.n != n for rec in records):
+        raise UsageError("all records in a file must share the party count")
     doc = {
         "n": n,
         "records": [

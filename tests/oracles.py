@@ -1,10 +1,10 @@
 """Reference computations that only the tests use.
 
-Dense forms of the factored witnesses, brute-force and numerical
-maximizations that check the closed-form bounds and the see-saw, the
-see-saw itself run one restart at a time, the product inequality behind
-the separability bound, and a record marginalizer and per-outcome
-string loops that check the estimators.
+Dense forms of the factored witnesses and of their per-group operators,
+brute-force and numerical maximizations that check the closed-form bounds
+and the see-saw, the see-saw itself run one restart at a time, the
+product inequality behind the separability bound, and a record
+marginalizer and per-outcome string loops that check the estimators.
 """
 
 import math
@@ -18,23 +18,26 @@ from entstruct.bounds import (
     MAX_SWEEPS,
     BoundResult,
     SeesawConfig,
-    _group_operators,
 )
-from entstruct.core import (
-    THETA_MID,
-    THETA_PLUS,
-    QubitObservable,
-    check_party_count,
-    pauli_xy_observable,
-)
+from entstruct.core import check_party_count
 from entstruct.errors import NumericError, UsageError
 from entstruct.tomo import (
-    SETTING_LABELS,
     Estimate,
     MeasurementRecord,
     MeasurementSetting,
     _check_parties,
 )
+
+
+def group_operators(terms, partition) -> list[np.ndarray]:
+    """ops[g][t] = tensor product of term t's factors over group g's parties,
+    in the order the group lists them: the dense operators that
+    terms_expectation and the see-saw read off without building."""
+    return [
+        np.array([reduce(np.kron, [np.asarray(facs[p - 1], dtype=complex) for p in g])
+                  for facs in terms.factors])
+        for g in partition.groups
+    ]
 
 
 def dense(terms) -> np.ndarray:
@@ -108,7 +111,7 @@ def brute_oracle_max(
     if samples < 1:
         raise UsageError("need at least one random sample")
     rng = np.random.default_rng(seed)
-    ops = _group_operators(terms, partition)
+    ops = group_operators(terms, partition)
     n_terms = len(terms.coeffs)
     e = np.empty((partition.num_groups, n_terms, samples))
     for g, size in enumerate(partition.sizes):
@@ -184,7 +187,7 @@ def seesaw_reference(terms, partition, config=None) -> BoundResult:
     ran it before restarts were batched: the reference the batched
     version must reproduce."""
     cfg = config or SeesawConfig()
-    ops = _group_operators(terms, partition)
+    ops = group_operators(terms, partition)
     results = [_seesaw_single(terms, partition, ops, cfg, r) for r in range(cfg.restarts)]
     best_idx = 0
     for i in range(1, len(results)):
@@ -271,19 +274,6 @@ def sos_gap(m: int, xs) -> float:
     prod_y = float(np.prod(ys))
     coeff = 2 ** (m - 1) * (2 ** (m - 1) - 2)
     return prod_sum * (prod_sum - prod_x - prod_y) - coeff * float(np.prod(xs * ys))
-
-
-def setting_observable(label: str) -> QubitObservable:
-    """The single-qubit observable a setting label stands for."""
-    if label == "Z":
-        return QubitObservable((0.0, 0.0, 1.0), "Z")
-    if label == "X":
-        return QubitObservable((1.0, 0.0, 0.0), "X")
-    if label == "APLUS":
-        return pauli_xy_observable(THETA_PLUS, "APLUS")
-    if label == "AMIX":
-        return pauli_xy_observable(THETA_MID, "AMIX")
-    raise UsageError(f"unknown setting label {label!r}; valid: {SETTING_LABELS}")
 
 
 def marginalize(record: MeasurementRecord, parties) -> MeasurementRecord:

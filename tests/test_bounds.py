@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from entstruct import bounds
-from entstruct.core import P0, P1, SX, SZ, pauli_xy_observable
+from entstruct.core import P0, P1, SX, SZ, xy_observable
 from entstruct.errors import UsageError
 from entstruct.states import Partition, StateDensity, product_structure
 from entstruct.witnesses import DepthWitness, SeparabilityWitness, msep_bound
@@ -88,8 +88,8 @@ class TestTerms:
 
     def test_depth_dense_roundtrip(self):
         spec = DepthWitness(4, 1.3)
-        plus = pauli_xy_observable(spec.theta_plus).matrix
-        minus = pauli_xy_observable(spec.theta_minus).matrix
+        plus = xy_observable(spec.theta_plus)
+        minus = xy_observable(spec.theta_minus)
         mean = (plus + minus) / (2 * spec.kappa)
         want = 1.3 * spec.kappa**4 * kron_power(mean, 4) - kron_power(plus, 4)
         assert np.allclose(dense(depth_terms(spec)), want, atol=1e-12)
@@ -223,6 +223,19 @@ class TestBlockUpdate:
             seesaw_max(terms, Partition(((1, 2),)), SeesawConfig(restarts=2))
         res = seesaw_max(terms, Partition(((1,), (2,))), SeesawConfig(restarts=5))
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_mixed_term_on_a_pair_is_rejected_by_the_evaluator(self):
+        # P0 x SX on |0>|+> is 1, but neither its diagonal nor its
+        # anti-diagonal part sees it: a pair group refuses the term
+        terms = ProductTerms(2, (1.0,), ((P0, SX),))
+        zero_plus = np.zeros((4, 4))
+        zero_plus[:2, :2] = 0.5
+        assert dense_value(terms, StateDensity(zero_plus, 2)) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(UsageError, match=r"term 0 .* group \(1, 2\)"):
+            terms_expectation(terms, Partition(((1, 2),)), [zero_plus])
+        value = terms_expectation(terms, Partition(((1,), (2,))),
+                                  [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])
+        assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_singleton_group_takes_a_general_factor(self):
         general = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.7]])

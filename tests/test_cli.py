@@ -195,6 +195,20 @@ class TestInfer:
         assert "gamma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--gamma-grid", "2.5"), "outside the computed range"),
+        (("--alpha", "2.5"), "scan_alpha"),
+        (("--alpha", "0"), "scan_alpha"),
+    ])
+    def test_config_refused_on_gme_counts(self, tmp_path, capsys, flags, message):
+        # GME data end the inference at step 1, before the gamma grid is
+        # read; every field is checked all the same, before any file is read
+        counts = simulate(tmp_path, "--structure", "8", seed=5, shots=20000)
+        out = tmp_path / "report.json"
+        assert run("infer", "--counts", counts, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [1, 0, -3])
     def test_max_subset_size_below_two_rejected(self, tmp_path, capsys, size):
         counts = simulate(tmp_path, "--structure", "2+2+4", seed=3, shots=20000)

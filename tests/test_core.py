@@ -8,7 +8,6 @@ import pytest
 
 from entstruct.bounds import (
     ProductTerms,
-    _group_operators,
     a_terms,
     aprime_terms,
     canonical_partition,
@@ -25,11 +24,12 @@ from entstruct.core import (
     THETA_MID,
     THETA_MINUS,
     THETA_PLUS,
-    pauli_xy_observable,
+    xy_observable,
 )
 from entstruct.errors import NumericError, UsageError
 from entstruct.states import Partition, ghz, white_noise_mix
 from entstruct.witnesses import DepthWitness
+from oracles import group_operators
 
 I2 = np.eye(2, dtype=complex)
 
@@ -40,10 +40,10 @@ def one_term(*factors):
 
 
 def product_operator(factors):
-    """The operator the evaluator forms for the product of the factors
-    on one group of all parties."""
+    """The dense operator of the product of the factors on one group of
+    all parties."""
     terms = one_term(*factors)
-    return _group_operators(terms, canonical_partition(terms.n, terms.n))[0][0]
+    return group_operators(terms, canonical_partition(terms.n, terms.n))[0][0]
 
 
 def whole(n):
@@ -51,7 +51,8 @@ def whole(n):
 
 
 class TestKron:
-    """Tensor products of term factors, party 1 leftmost."""
+    """Tensor products of term factors, party 1 leftmost (the dense
+    reference operators of the oracles)."""
 
     def test_sx_sx_antidiagonal(self):
         op = product_operator([SX, SX])
@@ -74,7 +75,7 @@ class TestKron:
             want = np.kron(np.kron(mats[0], mats[1]), mats[2])
             assert np.allclose(product_operator(mats), want, atol=1e-12)
             # a group takes its own parties, in the order it lists them
-            ops = _group_operators(one_term(*mats), Partition(((3, 1), (2,))))
+            ops = group_operators(one_term(*mats), Partition(((3, 1), (2,))))
             assert np.allclose(ops[0][0], np.kron(mats[2], mats[0]), atol=1e-12)
             assert np.allclose(ops[1][0], mats[1], atol=1e-12)
 
@@ -140,16 +141,16 @@ class TestExpectation:
 
 class TestXYObservables:
     def test_theta_zero_is_sx(self):
-        assert np.allclose(pauli_xy_observable(0.0).matrix, SX, atol=1e-15)
+        assert np.allclose(xy_observable(0.0), SX, atol=1e-15)
 
     def test_theta_half_pi_is_sy(self):
-        assert np.allclose(pauli_xy_observable(math.pi / 2).matrix, SY, atol=1e-15)
+        assert np.allclose(xy_observable(math.pi / 2), SY, atol=1e-15)
 
     def test_defining_combination(self):
         rng = np.random.default_rng(3)
         for theta in rng.uniform(-math.pi, math.pi, size=8):
             want = math.cos(theta) * SX + math.sin(theta) * SY
-            assert np.allclose(pauli_xy_observable(theta).matrix, want, atol=1e-14)
+            assert np.allclose(xy_observable(theta), want, atol=1e-14)
 
     def test_experiment_angles(self):
         assert THETA_PLUS == pytest.approx(27 / 80)
@@ -157,20 +158,18 @@ class TestXYObservables:
         assert THETA_MID == pytest.approx(3 / 80)
         spec = DepthWitness(1, 2.0)
         assert (spec.theta_plus, spec.theta_minus) == (THETA_PLUS, THETA_MINUS)
-        assert np.allclose(aprime_terms(spec).factors[0][0],
-                           pauli_xy_observable(27 / 80).matrix)
+        assert np.allclose(aprime_terms(spec).factors[0][0], xy_observable(27 / 80))
 
     def test_mix_is_normalized_mean(self):
         # (A- + A+) / (2 kappa) is again a unit xy observable, at the
         # midpoint angle
         kappa = math.cos(3 / 10)
-        mean = (pauli_xy_observable(THETA_PLUS).matrix
-                + pauli_xy_observable(THETA_MINUS).matrix) / (2 * kappa)
+        mean = (xy_observable(THETA_PLUS) + xy_observable(THETA_MINUS)) / (2 * kappa)
         assert np.allclose(a_terms(DepthWitness(1, 2.0)).factors[0][0], mean,
                            atol=1e-14)
-        assert np.allclose(mean, pauli_xy_observable(3 / 80).matrix, atol=1e-14)
+        assert np.allclose(mean, xy_observable(3 / 80), atol=1e-14)
 
     def test_unit_spectrum(self):
         for theta in (0.1, 1.2, 2.9):
-            top = np.linalg.eigvalsh(pauli_xy_observable(theta).matrix)[-1]
+            top = np.linalg.eigvalsh(xy_observable(theta))[-1]
             assert top == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,8 @@
-"""The demo scripts and the table tool run end to end in a fresh
-interpreter against this package."""
+"""The demo scripts, the table tool and the README's code run end to end
+in a fresh interpreter against this package."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,16 @@ def test_demo_runs(name):
     res = run_script(ROOT / "demos" / name)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip()
+
+
+def test_readme_python_blocks_run():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for code in blocks:
+        res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, f"{code}\n{res.stderr}"
 
 
 def test_regen_tool_help():

@@ -199,6 +199,28 @@ class TestInferStructure:
         with pytest.raises(UsageError):
             InferenceConfig(max_subset_size=size)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("confidence_sigmas", -1.0, "confidence_sigmas"),
+        ("confidence_sigmas", float("nan"), "confidence_sigmas"),
+        ("confidence_sigmas", float("inf"), "confidence_sigmas"),
+        ("scan_alpha", 0.0, "scan_alpha"),
+        ("scan_alpha", 2.5, "scan_alpha"),
+        ("scan_alpha", float("nan"), "scan_alpha"),
+        ("gamma_grid", (), "gamma_grid must not be empty"),
+        ("gamma_grid", (2.5,), "outside the computed range"),
+        ("gamma_grid", (2.0, 0.05), "outside the computed range"),
+        ("gamma_grid", (float("inf"),), "gamma"),
+    ])
+    def test_config_rejects_at_construction(self, field, value, message):
+        # no data needed: the config is refused before any inference runs
+        with pytest.raises(UsageError, match=message):
+            InferenceConfig(**{field: value})
+
+    def test_config_keeps_a_servable_grid(self):
+        cfg = InferenceConfig(gamma_grid=[0.1, 1.25, 2.0], scan_alpha=2.0,
+                              confidence_sigmas=0.0)
+        assert cfg.gamma_grid == (0.1, 1.25, 2.0)
+
     def test_max_subset_size_accepts_two_and_none(self):
         assert InferenceConfig(max_subset_size=np.int64(2)).max_subset_size == 2
         assert InferenceConfig().max_subset_size is None

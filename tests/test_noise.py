@@ -116,13 +116,13 @@ class TestGeneralizedThresholds:
                     n, math.pi / 4, 0.0, m) == pytest.approx(
                     intactness_noise_threshold(n, m), abs=1e-12)
 
-    def test_phase_quadrature_fix(self):
-        # at phi = pi/2 a local rotation restores the full coherence
-        full = generalized_ghz_thresholds(6, math.pi / 4, 0.0)
-        assert generalized_ghz_thresholds(6, math.pi / 4, math.pi / 2) == \
-            pytest.approx(full, abs=1e-12)
-        assert generalized_ghz_thresholds(6, math.pi / 4, 3 * math.pi / 2) == \
-            pytest.approx(full, abs=1e-12)
+    @pytest.mark.parametrize("phi", [math.pi / 2, 3 * math.pi / 2])
+    @pytest.mark.parametrize("m", [None, *range(2, 7)])
+    def test_phase_quadrature_is_zero(self, phi, m):
+        # the fixed X setting sees no coherence at phi = pi/2, so no noise
+        # level leaves the test firing
+        assert generalized_ghz_thresholds(6, math.pi / 4, phi, m) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_near_quadrature_is_small(self):
         near = generalized_ghz_thresholds(6, math.pi / 4, math.pi / 2 - 0.01)
@@ -144,6 +144,19 @@ class TestGeneralizedThresholds:
         w = separability_terms(SeparabilityWitness(n, 2.0, -1))
         state = ghz(n, theta, phi)
         assert full_value(w, white_noise_mix(state, thr - 1e-6)) > msep_bound(2.0, 2)
+        assert full_value(w, white_noise_mix(state, thr + 1e-6)) <= msep_bound(2.0, 2)
+
+    @pytest.mark.parametrize("theta", [0.55, math.pi / 4])
+    def test_quadrature_boundary_dense(self, theta):
+        # what the pipeline measures at phi = pi/2: the witness of the
+        # noiseless state already sits on the biseparable bound, and noise
+        # only lowers it, as a threshold of 0 says
+        n, phi = 4, math.pi / 2
+        thr = generalized_ghz_thresholds(n, theta, phi)
+        w = separability_terms(SeparabilityWitness(n, 2.0))
+        state = ghz(n, theta, phi)
+        assert full_value(w, white_noise_mix(state, thr)) == \
+            pytest.approx(msep_bound(2.0, 2), abs=1e-12)
         assert full_value(w, white_noise_mix(state, thr + 1e-6)) <= msep_bound(2.0, 2)
 
     def test_generalized_boundary_dense(self):

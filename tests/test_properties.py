@@ -11,7 +11,6 @@ from entstruct.bounds import (
     ProductTerms,
     _expectations,
     _group_actions,
-    _group_operators,
     _haar_kets,
     _top_kets,
     depth_terms,
@@ -42,7 +41,7 @@ from entstruct.witnesses import (
     msep_bound,
     separability_witness_value,
 )
-from oracles import dense_value, mz_loop, product_expectation_loop
+from oracles import dense_value, group_operators, mz_loop, product_expectation_loop
 
 values = st.floats(-1.0, 1.0)
 sigmas = st.floats(0.0, 0.3)
@@ -161,7 +160,7 @@ def test_block_update_finds_the_dense_top_eigenvalue(partition, diagonal, seed):
                                for d in diagonal))
     coeffs = np.asarray(terms.coeffs)
     actions = _group_actions(terms, partition)
-    ops = _group_operators(terms, partition)
+    ops = group_operators(terms, partition)
     kets = _haar_kets(seed, range(3), partition.sizes)
     e = np.stack([_expectations(*a, k) for a, k in zip(actions, kets)], axis=1)
     for g, (diag, flip) in enumerate(actions):

@@ -9,6 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entstruct.bounds import (
+    ProductTerms,
+    a_terms,
+    aprime_terms,
+    mx_terms,
+    mz_terms,
+    terms_expectation,
+)
 from entstruct.core import THETA_MID, THETA_PLUS
 from entstruct.errors import CountsFormatError, UsageError, ValidationError
 from entstruct.states import (
@@ -20,10 +28,11 @@ from entstruct.states import (
     white_noise_mix,
 )
 from entstruct.tomo import (
+    OBSERVABLE_LABELS,
     SETTING_LABELS,
+    SETTING_OBSERVABLES,
     MeasurementRecord,
     MeasurementSetting,
-    _setting_basis,
     estimate_mz,
     estimate_product_expectation,
     load_counts,
@@ -31,20 +40,31 @@ from entstruct.tomo import (
     sample_counts,
     save_counts,
 )
-from oracles import marginalize, setting_observable
-
-
-def einsum_probabilities(state, setting):
-    """Reference Born rule: the full 2^n x 2^n product basis B and
-    p = diag(B^dagger rho B) as one three-operand einsum (O(8^n))."""
-    basis = np.eye(1, dtype=complex)
-    for lab in setting.labels:
-        basis = np.kron(basis, _setting_basis(lab))
-    return np.real(np.einsum("ip,ij,jp->p", basis.conj(), state.matrix, basis))
+from entstruct.witnesses import DepthWitness
+from oracles import marginalize
 
 
 # xy-plane angle of each non-Z setting; X is angle 0
 XY_ANGLE = {"X": 0.0, "AMIX": THETA_MID, "APLUS": THETA_PLUS}
+
+
+def eigenbasis(label):
+    """2x2 unitary whose columns are the label's (+1, -1) eigenvectors:
+    |0>, |1> for Z, and (|0> +- e^{it}|1>)/sqrt(2) for an xy setting at
+    angle t."""
+    if label == "Z":
+        return np.eye(2, dtype=complex)
+    ph = np.exp(1j * XY_ANGLE[label])
+    return np.array([[1, 1], [ph, -ph]]) / np.sqrt(2)
+
+
+def einsum_probabilities(state, setting):
+    """Reference Born rule: the full 2^n x 2^n product eigenbasis B and
+    p = diag(B^dagger rho B) as one three-operand einsum (O(8^n))."""
+    basis = np.eye(1, dtype=complex)
+    for lab in setting.labels:
+        basis = np.kron(basis, eigenbasis(lab))
+    return np.real(np.einsum("ip,ij,jp->p", basis.conj(), state.matrix, basis))
 
 
 def ghz_blocks_distribution(groups, label, n, noise):
@@ -66,17 +86,34 @@ def ghz_blocks_distribution(groups, label, n, noise):
 
 
 @st.composite
-def wishart_and_setting(draw):
+def wishart_states(draw, max_n):
     """A random mixed state rho = G G^dagger / tr (G complex Gaussian,
-    2^n x (2^n + 1)) and a random mixed-label setting, n = 1..6."""
-    n = draw(st.integers(1, 6))
+    2^n x (2^n + 1)), n = 1..max_n."""
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
     g = rng.normal(size=(dim, dim + 1)) + 1j * rng.normal(size=(dim, dim + 1))
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    return StateDensity(rho, n)
+
+
+@st.composite
+def wishart_and_setting(draw):
+    """A Wishart state of n = 1..6 parties and a random mixed-label setting."""
+    state = draw(wishart_states(6))
+    n = state.n_parties
     labels = draw(st.lists(st.sampled_from(SETTING_LABELS), min_size=n, max_size=n))
-    return StateDensity(rho, n), MeasurementSetting(tuple(labels))
+    return state, MeasurementSetting(tuple(labels))
+
+
+# The witness terms each table observable stands for.
+WITNESS_TERMS = {
+    "MZ": mz_terms,
+    "MX": mx_terms,
+    "A": lambda n: a_terms(DepthWitness(n, 2.0)),
+    "APRIME": lambda n: aprime_terms(DepthWitness(n, 2.0)),
+}
 
 
 def record_from_exact(state, setting, shots):
@@ -116,9 +153,17 @@ class TestProbabilities:
 
     def test_setting_observables_are_unit(self):
         for label in ("Z", "X", "APLUS", "AMIX"):
-            obs = setting_observable(label)
-            vals = np.linalg.eigvalsh(obs.matrix)
+            obs = SETTING_OBSERVABLES[label]
+            vals = np.linalg.eigvalsh(obs)
             assert np.allclose(sorted(vals), [-1.0, 1.0], atol=1e-12)
+            # the table's observable has the reference eigenbasis: +1 then -1
+            u = eigenbasis(label)
+            np.testing.assert_allclose(obs @ u, u * [1, -1], rtol=0, atol=1e-15)
+
+    def test_table_order(self):
+        assert SETTING_LABELS == ("Z", "X", "APLUS", "AMIX")
+        assert OBSERVABLE_LABELS == {"MZ": "Z", "MX": "X", "A": "AMIX", "APRIME": "APLUS"}
+        assert list(OBSERVABLE_LABELS) == ["MZ", "MX", "A", "APRIME"]
 
     def test_unknown_label(self):
         with pytest.raises(ValidationError):
@@ -130,6 +175,26 @@ class TestProbabilities:
         np.testing.assert_allclose(probabilities(state, setting),
                                    einsum_probabilities(state, setting),
                                    rtol=0, atol=1e-12)
+
+    @given(wishart_states(5))
+    def test_sampler_and_witness_read_the_same_observable(self, state):
+        # each label's outcome parity is its observable on every party, and
+        # the statistic each witness input is estimated by (the all-equal
+        # population for M_Z, the parity otherwise) is that witness term
+        n = state.n_parties
+        whole = Partition((tuple(range(1, n + 1)),))
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        parity = 1 - 2 * (bits.sum(axis=1) % 2)
+        probs = {lab: probabilities(state, MeasurementSetting.uniform(lab, n))
+                 for lab in SETTING_LABELS}
+        for lab, obs in SETTING_OBSERVABLES.items():
+            product = ProductTerms(n, (1.0,), (tuple([obs] * n),))
+            assert abs(parity @ probs[lab]
+                       - terms_expectation(product, whole, [state])) <= 1e-12, lab
+        for observable, lab in OBSERVABLE_LABELS.items():
+            stat = probs[lab][[0, -1]].sum() if lab == "Z" else parity @ probs[lab]
+            want = terms_expectation(WITNESS_TERMS[observable](n), whole, [state])
+            assert abs(stat - want) <= 1e-12, observable
 
     @pytest.mark.parametrize("geometry", ["".join(g) for g in itertools.product("UD", repeat=3)])
     def test_pbs_geometries_match_closed_form(self, geometry):
