@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .tomo import (
     Estimate,
     MeasurementRecord,
     _read_items,
+    check_parties,
     estimate_mz,
     estimate_product_expectation,
 )
@@ -35,12 +37,14 @@ from .witnesses import (
     KPROD_N,
     Evidence,
     ExpectationPair,
+    WitnessValue,
     check_expectation,
     decide,
     depth_scan,
     intactness_scan,
     kprod_bound_entry,
     msep_bound,
+    separability_witness_columns,
     separability_witness_value,
 )
 
@@ -96,65 +100,84 @@ class InferenceConfig:
 _DEFAULT_CONFIG = InferenceConfig()  # checked once, not on every call
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """One expectation value of a table: the observable on a party set of
-    distinct positive integers (not bools, floats or strings).  Value and
-    sigma are real numbers (not bools or strings), stored as floats, that
-    obey witnesses.check_expectation."""
-
-    observable: str
-    parties: tuple[int, ...]
-    value: float
-    sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.observable not in OBSERVABLES:
-            raise UsageError(
-                f"observable must be one of {OBSERVABLES}, got {self.observable!r}"
-            )
-        try:
-            parties = tuple(self.parties)
-        except TypeError:  # not iterable
-            parties = ()
-        # Python ints pass at C speed; numpy integers are converted; bools fail.
-        integral = set(map(type, parties)) == {int} or all(
-            type(p) is int or isinstance(p, np.integer) for p in parties)
-        parties = tuple(sorted(map(int, parties))) if integral else ()
-        if not parties or len(set(parties)) != len(parties) or parties[0] < 1:
-            raise UsageError(
-                f"parties must be distinct positive integers, got {self.parties!r}")
-        for name, x in (("value", self.value), ("sigma", self.sigma)):
-            if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
-                raise UsageError(f"{name} must be a real number, got {x!r}")
-        check_expectation(self.value, self.sigma, "value", UsageError)
-        object.__setattr__(self, "parties", parties)
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "sigma", float(self.sigma))
+# Party sets are stored as int64 bitmasks, bit p-1 for party p.
+MAX_TABLE_PARTIES = 63
 
 
-@dataclass(frozen=True)
+def _observable_id(observable) -> int:
+    if observable not in OBSERVABLES:
+        raise UsageError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    return OBSERVABLES.index(observable)
+
+
 class ExpectationTable:
-    n: int
-    entries: tuple[TableEntry, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    """Expectation values as four aligned read-only columns sorted by
+    (observable, mask): ``observable`` (its index in OBSERVABLES), ``mask``
+    (the party set, bit p-1 for party p), ``value`` and ``sigma``.
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        index: dict[tuple[str, tuple[int, ...]], Estimate] = {}
-        for i, e in enumerate(entries):
-            if e.parties[-1] > self.n:
-                raise UsageError(
-                    f"expectation {i}: entry {e.observable}{e.parties} exceeds n={self.n}"
-                )
-            if (e.observable, e.parties) in index:
-                raise UsageError(f"expectation {i}: duplicate entry {e.observable}{e.parties}")
-            index[e.observable, e.parties] = Estimate(e.value, e.sigma)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", index)
+    Built from (observable, parties, value, sigma) rows on n parties, n in
+    1..MAX_TABLE_PARTIES.  Each row is checked once, here: tomo.check_parties,
+    real numbers (not bools or strings) obeying witnesses.check_expectation;
+    then no entry may reach beyond n or repeat an (observable, party set).
+    A breach is a UsageError naming the row's index."""
+
+    def __init__(self, n: int, rows) -> None:
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not 1 <= n <= MAX_TABLE_PARTIES):
+            raise UsageError(f"n must be an integer in 1..{MAX_TABLE_PARTIES}, got {n!r}")
+        self.n = n = int(n)
+        ids, parties, values, sigmas = [], [], [], []
+        for i, (observable, ps, value, sigma) in enumerate(rows):
+            try:
+                ids.append(_observable_id(observable))
+                parties.append(check_parties(ps, None))
+                for name, x in (("value", value), ("sigma", sigma)):
+                    if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
+                        raise UsageError(f"{name} must be a real number, got {x!r}")
+                check_expectation(value, sigma, "value", UsageError)
+            except UsageError as exc:
+                raise UsageError(f"expectation {i}: {exc}") from None
+            values.append(value)
+            sigmas.append(sigma)
+        i = next((i for i, ps in enumerate(parties) if ps[-1] > n), None)
+        if i is not None:
+            raise UsageError(f"expectation {i}: entry {OBSERVABLES[ids[i]]}{parties[i]} "
+                             f"exceeds n={n}")
+        sizes = np.fromiter(map(len, parties), np.int64, len(parties))
+        bits = 1 << (np.fromiter(chain.from_iterable(parties), np.int64) - 1)
+        masks = np.bitwise_or.reduceat(bits, np.cumsum(sizes) - sizes)
+        order = np.lexsort((masks, ids))
+        self.observable = np.array(ids, np.int8)[order]
+        self.mask = masks[order]
+        same = ((self.observable[1:] == self.observable[:-1])
+                & (self.mask[1:] == self.mask[:-1]))
+        if same.any():
+            i = int(order[1:][same].min())  # the first row repeating an earlier one
+            raise UsageError(f"expectation {i}: duplicate entry "
+                             f"{OBSERVABLES[ids[i]]}{parties[i]}")
+        self.value = np.array(values, float)[order]
+        self.sigma = np.array(sigmas, float)[order]
+        for column in (self.observable, self.mask, self.value, self.sigma):
+            column.flags.writeable = False
+
+    def _columns(self, observable: str, subsets) -> np.ndarray:
+        """Values (row 0) and sigmas (row 1) of the observable on each of the
+        subsets, NaN where the table has no entry.  The subsets are party
+        tuples of one size within 1..n; one sorted search finds them all."""
+        masks = (1 << (np.array(subsets) - 1)).sum(axis=1)
+        k = _observable_id(observable)
+        lo, hi = np.searchsorted(self.observable, (k, k + 1))
+        out = np.full((2, len(masks)), np.nan)
+        if hi > lo:
+            at = lo + np.searchsorted(self.mask[lo:hi], masks).clip(max=hi - lo - 1)
+            hit = self.mask[at] == masks
+            out[:, hit] = self.value[at[hit]], self.sigma[at[hit]]
+        return out
 
     def lookup(self, observable: str, parties) -> Estimate | None:
-        return self._index.get((observable, tuple(sorted(int(p) for p in parties))))
+        """The observable's entry on the party set (in any order), or None."""
+        (value,), (sigma,) = self._columns(observable, [check_parties(parties, self.n)])
+        return None if math.isnan(value) else Estimate(float(value), float(sigma))
 
 
 class PairEstimator:
@@ -162,13 +185,14 @@ class PairEstimator:
     an ExpectationTable.
 
     Records with the same uniform setting are merged; records that mix
-    settings are legal data but unused here.
+    settings are legal data but unused here, and counted in
+    ``mixed_records``.
     """
 
     def __init__(self, data) -> None:
+        self.mixed_records = 0
         if isinstance(data, ExpectationTable):
-            self.n = data.n
-            self._lookup = data.lookup
+            self.n, self._columns = data.n, data._columns
             return
         records = list(data)
         if not records:
@@ -180,6 +204,7 @@ class PairEstimator:
                 raise UsageError("records disagree on the party count")
             labels = set(rec.setting.labels)
             if len(labels) != 1:
+                self.mixed_records += 1
                 continue
             lab = labels.pop()
             if lab in merged:
@@ -188,21 +213,27 @@ class PairEstimator:
                     counts[k] = counts.get(k, 0) + v
                 rec = MeasurementRecord(rec.setting, counts)
             merged[lab] = rec
-        self._by_label = merged
-        self._lookup = self._estimate
+        self._estimators = {
+            obs: partial(estimate_mz if lab == "Z" else estimate_product_expectation,
+                         merged[lab])
+            for obs, lab in OBSERVABLE_LABELS.items() if lab in merged
+        }
+        self._columns = self._estimate_columns
 
-    def _estimate(self, observable: str, parties) -> Estimate | None:
-        label = OBSERVABLE_LABELS[observable]
-        estimator = estimate_mz if label == "Z" else estimate_product_expectation
-        rec = self._by_label.get(label)
-        return estimator(rec, parties) if rec is not None else None
+    def _estimate_columns(self, observable: str, subsets) -> np.ndarray:
+        """The table's _columns, estimated one subset at a time."""
+        estimator = self._estimators.get(observable)
+        if estimator is None:
+            return np.full((2, len(subsets)), np.nan)
+        return np.array([estimator(s) for s in subsets]).T
 
     def _pair(self, first: str, second: str, parties) -> ExpectationPair | None:
-        a = self._lookup(first, parties)
-        b = self._lookup(second, parties)
-        if a is None or b is None:
+        subset = [check_parties(parties, self.n)]
+        (a,), (sigma_a,) = self._columns(first, subset).tolist()
+        (b,), (sigma_b,) = self._columns(second, subset).tolist()
+        if math.isnan(a) or math.isnan(b):
             return None
-        return ExpectationPair(a.value, b.value, a.sigma, b.sigma)
+        return ExpectationPair(a, b, sigma_a, sigma_b)
 
     def sep_pair(self, parties) -> ExpectationPair | None:
         """(<M_Z>, <M_X>) on the parties, or None without Z and X data."""
@@ -213,15 +244,20 @@ class PairEstimator:
         return self._pair("A", "APRIME", tuple(range(1, self.n + 1)))
 
 
-def _scan_size(est, pool, size: int, alpha: float, conf: float) -> list[Evidence]:
-    bound = msep_bound(alpha, 2)
-    out = []
-    for subset in combinations(pool, size):
-        pair = est.sep_pair(subset)
-        if pair is not None:
-            out.append(decide(subset, f"sep(alpha={alpha:g})",
-                              separability_witness_value(pair, alpha), bound, conf))
-    return out
+def _scan_size(est, pool, size: int, alpha: float,
+               conf: float) -> tuple[list[Evidence], int]:
+    """The separability test on every size-s subset of the pool, in
+    lexicographic order, from one column read per observable.  Returns a
+    row for each subset with both MZ and MX data, and how many lack them."""
+    bound, witness = msep_bound(alpha, 2), f"sep(alpha={alpha:g})"
+    subsets = list(combinations(pool, size))
+    (z, sigma_z), (x, sigma_x) = est._columns("MZ", subsets), est._columns("MX", subsets)
+    values, sigmas, signs = separability_witness_columns(alpha, z, x, sigma_z, sigma_x)
+    rows = [decide(s, witness, WitnessValue(v, sigma, sign), bound, conf)
+            for s, v, sigma, sign in zip(subsets, values.tolist(), sigmas.tolist(),
+                                         signs.tolist())
+            if not math.isnan(v)]  # NaN: no data
+    return rows, len(subsets) - len(rows)
 
 
 def subset_witness_scan(
@@ -233,7 +269,7 @@ def subset_witness_scan(
     est = PairEstimator(data)
     if not 2 <= size <= est.n:
         raise UsageError(f"subset size must lie in 2..{est.n}, got {size}")
-    return _scan_size(est, tuple(range(1, est.n + 1)), size, alpha, confidence_sigmas)
+    return _scan_size(est, tuple(range(1, est.n + 1)), size, alpha, confidence_sigmas)[0]
 
 
 @dataclass(frozen=True)
@@ -247,7 +283,7 @@ class StructureReport:
     evidence: tuple[Evidence, ...]
     assumptions: str
     confidence_sigmas: float
-    skipped: tuple[str, ...] = ()  # why a step did not run
+    skipped: tuple[str, ...] = ()  # what the data could not serve, and why
 
 
 def infer_structure(data, config: InferenceConfig | None = None) -> StructureReport:
@@ -255,11 +291,16 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
 
     Requires full-system Z and X data; AMIX/APLUS data enable the depth
     step and a deeper starting point for the subset scan.  A step that
-    does not run leaves its reason in ``report.skipped``.
+    does not run, subsets the scan could not test and records that mix
+    settings each leave a line in ``report.skipped``.
     """
     cfg = config or _DEFAULT_CONFIG
     est = PairEstimator(data)
     n = est.n
+    skipped = []
+    if est.mixed_records:
+        skipped.append(f"records: {est.mixed_records} mix settings and were not used "
+                       "(only uniform settings are read)")
     everyone = tuple(range(1, n + 1))
     conf = cfg.confidence_sigmas
 
@@ -279,7 +320,7 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
             intactness_upper=1, depth_lower=n,
             proposed_partition=(everyone,),
             evidence=tuple(evidence), assumptions=ASSUMPTIONS,
-            confidence_sigmas=conf,
+            confidence_sigmas=conf, skipped=tuple(skipped),
         )
 
     # Step 2a: intactness upper bound at robustness-optimal alpha per m
@@ -288,7 +329,6 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
 
     # Step 2b: depth lower bound over the gamma grid, where bounds exist
     depth: int | None = None
-    skipped = []
     if n != KPROD_N:
         skipped.append(f"depth step: producibility bounds exist for n = {KPROD_N} "
                        f"only, the data have n = {n}")
@@ -312,12 +352,14 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
 
     unassigned = set(everyone)
     groups: list[tuple[int, ...]] = []
+    untested = 0
     for size in range(start, 1, -1):
         if size > len(unassigned):
             continue
-        results = _scan_size(est, tuple(sorted(unassigned)), size,
-                             cfg.scan_alpha, conf)
+        results, missing = _scan_size(est, tuple(sorted(unassigned)), size,
+                                      cfg.scan_alpha, conf)
         evidence += results
+        untested += missing
         hits = sorted(
             (r for r in results if r.violated),
             key=lambda r: (-(r.value - r.bound), r.subset),
@@ -327,6 +369,9 @@ def infer_structure(data, config: InferenceConfig | None = None) -> StructureRep
                 groups.append(r.subset)
                 unassigned -= set(r.subset)
     groups.extend((p,) for p in sorted(unassigned))
+    if untested:
+        skipped.append(f"subset scan: {untested} subsets without both MZ and MX "
+                       "data were not tested")
     partition = tuple(sorted(groups, key=min))
 
     return StructureReport(
@@ -410,11 +455,11 @@ def load_expectation_table(path) -> ExpectationTable:
     "MZ", "parties": [1,2], "value": 0.5, "sigma": 0.01}, ...]}; sigma is
     optional (default 0).  Malformed entries, entries beyond n and repeated
     (observable, party set) pairs are rejected with the entry named."""
-    n, entries = _read_items(
+    n, rows = _read_items(
         path, "expectations", "expectation", ("observable", "parties", "value"), ("sigma",),
-        lambda n, raw: TableEntry(raw["observable"], raw["parties"], raw["value"],
-                                  raw.get("sigma", 0.0)))
+        lambda n, raw: (raw["observable"], raw["parties"], raw["value"],
+                        raw.get("sigma", 0.0)))
     try:
-        return ExpectationTable(n, tuple(entries))
+        return ExpectationTable(n, rows)
     except UsageError as exc:
         raise CountsFormatError(f"{path}: {exc}") from exc

@@ -10,6 +10,7 @@ eigenvalue.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -157,22 +158,28 @@ class Estimate(NamedTuple):
     sigma: float
 
 
-def _check_parties(record: MeasurementRecord, parties) -> tuple[int, ...]:
-    n = record.setting.n
-    parties = tuple(int(p) for p in parties)
-    if not parties:
-        raise UsageError("need at least one party")
-    if len(set(parties)) != len(parties):
-        raise UsageError(f"duplicate parties in {parties}")
-    if any(not 1 <= p <= n for p in parties):
-        raise UsageError(f"parties {parties} outside 1..{n}")
-    return tuple(sorted(parties))
+def check_parties(parties, n: int | None) -> tuple[int, ...]:
+    """The one party rule, for table rows, table lookups and the estimators:
+    a non-empty collection of distinct integers in 1..n (numpy integers
+    too; not bools, floats or strings), returned sorted.  A breach raises
+    UsageError.  With n None the caller checks the upper end itself, as a
+    table does for all its rows at once."""
+    try:
+        given = tuple(parties)
+        ps = tuple(sorted(map(operator.index, given)))
+    except TypeError:  # not iterable, or not integers
+        ps = ()
+    if not ps or ps[0] < 1 or len(set(ps)) != len(ps) or bool in map(type, given):
+        raise UsageError(f"parties must be distinct positive integers, got {parties!r}")
+    if n is not None and ps[-1] > n:
+        raise UsageError(f"parties {ps} outside 1..{n}")
+    return ps
 
 
 def estimate_product_expectation(record: MeasurementRecord, parties) -> Estimate:
     """Sample mean of the +/-1 outcome product over the given parties,
     with the binomial-propagated standard error sqrt((1-v^2)/N)."""
-    cols = [p - 1 for p in _check_parties(record, parties)]
+    cols = [p - 1 for p in check_parties(parties, record.setting.n)]
     total = record.total
     value = int(record.weights @ (1 - 2 * (record.bits[:, cols].sum(1) % 2))) / total
     sigma = float(np.sqrt(max(0.0, 1.0 - value**2) / total))
@@ -182,7 +189,7 @@ def estimate_product_expectation(record: MeasurementRecord, parties) -> Estimate
 def estimate_mz(record: MeasurementRecord, parties) -> Estimate:
     """Fraction of shots where the given parties all came out equal in the
     Z basis: the subset population observable.  Bernoulli standard error."""
-    parties = _check_parties(record, parties)
+    parties = check_parties(parties, record.setting.n)
     for p in parties:
         if record.setting.labels[p - 1] != "Z":
             raise UsageError(

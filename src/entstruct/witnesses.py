@@ -132,15 +132,23 @@ class WitnessValue(NamedTuple):
     sign: int
 
 
+def separability_witness_columns(alpha: float, z, x, sigma_z, sigma_x) -> WitnessValue:
+    """alpha*z + |x|, its standard error and the sign of x that attains it,
+    for floats or for aligned arrays of subsets.  The squares go through
+    float_power, which calls libm pow as Python's ** on floats does, so both
+    forms give the same bits."""
+    sigma = np.sqrt(np.float_power(alpha * sigma_z, 2) + np.float_power(sigma_x, 2))
+    return WitnessValue(alpha * z + abs(x), sigma, 2 * (x >= 0) - 1)
+
+
 def separability_witness_value(pair: ExpectationPair, alpha: float) -> WitnessValue:
     """Evaluate alpha*<M_Z> + sign*<M_X> with the sign chosen to maximize it."""
     if not 0.0 < alpha <= 2.0:
         raise UsageError(f"alpha must lie in (0, 2], got {alpha}")
-    z, x = pair.value_z_or_a, pair.value_x_or_aprime
-    sign = +1 if x >= 0 else -1
-    value = alpha * z + abs(x)
-    sigma = math.sqrt((alpha * pair.sigma_z_or_a) ** 2 + pair.sigma_x_or_aprime**2)
-    return WitnessValue(value, sigma, sign)
+    value, sigma, sign = separability_witness_columns(
+        alpha, pair.value_z_or_a, pair.value_x_or_aprime, pair.sigma_z_or_a,
+        pair.sigma_x_or_aprime)
+    return WitnessValue(value, float(sigma), int(sign))
 
 
 def depth_witness_value(

@@ -3,12 +3,15 @@
 Dense forms of the factored witnesses and of their per-group operators,
 brute-force and numerical maximizations that check the closed-form bounds
 and the see-saw, the see-saw itself run one restart at a time, the
-product inequality behind the separability bound, and a record
-marginalizer and per-outcome string loops that check the estimators.
+product inequality behind the separability bound, a record
+marginalizer and per-outcome string loops that check the estimators, and
+an expectation table kept as a plain dict with its subset scan written out
+per subset.
 """
 
 import math
 from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 from scipy import optimize
@@ -21,11 +24,12 @@ from entstruct.bounds import (
 )
 from entstruct.core import check_party_count
 from entstruct.errors import NumericError, UsageError
+from entstruct.inference import OBSERVABLES
 from entstruct.tomo import (
     Estimate,
     MeasurementRecord,
     MeasurementSetting,
-    _check_parties,
+    check_parties,
 )
 
 
@@ -278,7 +282,7 @@ def sos_gap(m: int, xs) -> float:
 
 def marginalize(record: MeasurementRecord, parties) -> MeasurementRecord:
     """Restrict the record to the given parties (counts summed over the rest)."""
-    parties = _check_parties(record, parties)
+    parties = check_parties(parties, record.setting.n)
     labels = tuple(record.setting.labels[p - 1] for p in parties)
     counts: dict[str, int] = {}
     for outcome, cnt in record.counts.items():
@@ -289,7 +293,7 @@ def marginalize(record: MeasurementRecord, parties) -> MeasurementRecord:
 
 def product_expectation_loop(record: MeasurementRecord, parties) -> Estimate:
     """estimate_product_expectation read off the outcome strings one by one."""
-    parties = _check_parties(record, parties)
+    parties = check_parties(parties, record.setting.n)
     total = record.total
     acc = 0
     for outcome, cnt in record.counts.items():
@@ -302,7 +306,7 @@ def product_expectation_loop(record: MeasurementRecord, parties) -> Estimate:
 
 def mz_loop(record: MeasurementRecord, parties) -> Estimate:
     """estimate_mz read off the outcome strings one by one."""
-    parties = _check_parties(record, parties)
+    parties = check_parties(parties, record.setting.n)
     for p in parties:
         if record.setting.labels[p - 1] != "Z":
             raise UsageError(
@@ -317,3 +321,34 @@ def mz_loop(record: MeasurementRecord, parties) -> Estimate:
     value = hits / total
     sigma = float(np.sqrt(max(0.0, value * (1.0 - value)) / total))
     return Estimate(value, sigma)
+
+
+def table_dict(rows) -> dict:
+    """Table rows as a plain dict: (observable, sorted parties) -> (value, sigma)."""
+    return {(obs, tuple(sorted(int(p) for p in parties))): (float(value), float(sigma))
+            for obs, parties, value, sigma in rows}
+
+
+def table_contents(table) -> dict:
+    """The same dict, read back off an ExpectationTable's four columns."""
+    return {
+        (OBSERVABLES[k], tuple(p + 1 for p in range(table.n) if mask >> p & 1)): (v, s)
+        for k, mask, v, s in zip(table.observable.tolist(), table.mask.tolist(),
+                                 table.value.tolist(), table.sigma.tolist())
+    }
+
+
+def dict_scan(entries: dict, n: int, size: int, alpha: float, confidence: float) -> list:
+    """subset_witness_scan on a table_dict, one subset at a time: (subset,
+    witness, value, sigma, bound, verdict) for each size-s subset, in
+    lexicographic order, that has both MZ and MX entries."""
+    bound = max(alpha, alpha / 2 + 1.0)
+    rows = []
+    for subset in combinations(range(1, n + 1), size):
+        if ("MZ", subset) in entries and ("MX", subset) in entries:
+            (z, sigma_z), (x, sigma_x) = entries["MZ", subset], entries["MX", subset]
+            value = alpha * z + abs(x)
+            sigma = math.sqrt((alpha * sigma_z) ** 2 + sigma_x**2)
+            verdict = "violated" if value > bound + confidence * sigma else "not_violated"
+            rows.append((subset, f"sep(alpha={alpha:g})", value, sigma, bound, verdict))
+    return rows

@@ -14,7 +14,6 @@ from entstruct.inference import (
     InferenceConfig,
     PairEstimator,
     StructureReport,
-    TableEntry,
     consistency_check,
     infer_structure,
     load_expectation_table,
@@ -85,16 +84,16 @@ def exact_table(partition):
             for p in sub:
                 touched.setdefault(block_of(p), []).append(p)
             mz = 2.0 * np.prod([0.5 for _ in touched])
-            entries.append(TableEntry("MZ", sub, float(mz)))
+            entries.append(("MZ", sub, float(mz), 0.0))
             # MX: any partially covered block kills the X correlator
             complete = all(len(v) == len(g) for g, v in touched.items())
-            entries.append(TableEntry("MX", sub, 1.0 if complete else 0.0))
+            entries.append(("MX", sub, 1.0 if complete else 0.0, 0.0))
     theta_mid, theta_plus = 3 / 80, 27 / 80
     a = float(np.prod([np.cos(len(g) * theta_mid) for g in partition.groups]))
     ap = float(np.prod([np.cos(len(g) * theta_plus) for g in partition.groups]))
-    entries.append(TableEntry("A", full, a))
-    entries.append(TableEntry("APRIME", full, ap))
-    return ExpectationTable(n, tuple(entries))
+    entries.append(("A", full, a, 0.0))
+    entries.append(("APRIME", full, ap, 0.0))
+    return ExpectationTable(n, entries)
 
 
 class TestSubsetScan:
@@ -167,8 +166,8 @@ class TestInferStructure:
     def test_reference_full_system_row_is_gme(self):
         full = tuple(range(1, 9))
         table = ExpectationTable(8, (
-            TableEntry("MZ", full, 0.800, 0.006),
-            TableEntry("MX", full, 0.625, 0.016),
+            ("MZ", full, 0.800, 0.006),
+            ("MX", full, 0.625, 0.016),
         ))
         report = infer_structure(table)
         assert report.gme
@@ -178,8 +177,8 @@ class TestInferStructure:
         # same central values, giant error bars: nothing is certified
         full = tuple(range(1, 9))
         table = ExpectationTable(8, (
-            TableEntry("MZ", full, 0.800, 0.3),
-            TableEntry("MX", full, 0.625, 0.3),
+            ("MZ", full, 0.800, 0.3),
+            ("MX", full, 0.625, 0.3),
         ))
         report = infer_structure(table)
         assert not report.gme
@@ -329,6 +328,23 @@ class TestSkipReasons:
         assert len(report.skipped) == 1
         assert "AMIX" in report.skipped[0] and "APLUS" in report.skipped[0]
 
+    def test_untested_subsets_are_counted(self):
+        full = tuple(range(1, 9))
+        table = ExpectationTable(8, (("MZ", full, 0.800, 0.3), ("MX", full, 0.625, 0.3)))
+        report = infer_structure(table)
+        # sizes 7 down to 2: 8 + 28 + 56 + 70 + 56 + 28 subsets, none with data
+        assert report.skipped[1:] == (
+            "subset scan: 246 subsets without both MZ and MX data were not tested",)
+        assert report_to_dict(report)["skipped"] == list(report.skipped)
+
+    def test_records_that_mix_settings_are_counted(self):
+        records = simulate_records(structured_state(RHO_422), seed=2)
+        mixed = MeasurementRecord(MeasurementSetting(("Z",) * 4 + ("X",) * 4), {"0" * 8: 10})
+        report = infer_structure(records + [mixed, mixed])
+        assert report.skipped == (
+            "records: 2 mix settings and were not used (only uniform settings are read)",)
+        assert report.evidence == infer_structure(records).evidence
+
     def test_depth_data_at_n8_skips_nothing(self):
         report = infer_structure(simulate_records(structured_state(RHO_422), seed=2))
         assert report.depth_lower == 4
@@ -432,8 +448,8 @@ class TestExpectationTableIO:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_entry_rejected(self, field, bad):
         kwargs = {"value": 0.5, "sigma": 0.01, field: bad}
-        with pytest.raises(UsageError, match=f"{field} must be finite"):
-            TableEntry("MZ", (1, 2), **kwargs)
+        with pytest.raises(UsageError, match=f"expectation 0: .*{field} must be finite"):
+            ExpectationTable(2, [("MZ", (1, 2), kwargs["value"], kwargs["sigma"])])
 
     @pytest.mark.parametrize("field,literal", [("value", "NaN"), ("sigma", "Infinity")])
     def test_non_finite_json_rejected(self, tmp_path, field, literal):
@@ -448,8 +464,13 @@ class TestExpectationTableIO:
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(UsageError, match="duplicate"):
-            ExpectationTable(3, (TableEntry("MZ", (1, 2, 3), 0.0),
-                                 TableEntry("MZ", (3, 2, 1), 1.0)))
+            ExpectationTable(3, (("MZ", (1, 2, 3), 0.0, 0.0),
+                                 ("MZ", (3, 2, 1), 1.0, 0.0)))
+
+    def test_duplicate_names_the_first_repeat(self):
+        a, b = ("MZ", (1, 2), 0.0, 0.0), ("MX", (2, 1), 0.0, 0.0)
+        with pytest.raises(UsageError, match=r"^expectation 2: duplicate entry MZ\(1, 2\)$"):
+            ExpectationTable(2, (a, b, a, b, a))
 
     def test_duplicate_entry_in_file(self, tmp_path):
         path = tmp_path / "dup.json"
@@ -461,8 +482,8 @@ class TestExpectationTableIO:
             load_expectation_table(path)
 
     def test_same_parties_different_observables(self):
-        table = ExpectationTable(2, (TableEntry("MZ", (1, 2), 0.25),
-                                     TableEntry("MX", (2, 1), 0.75)))
+        table = ExpectationTable(2, (("MZ", (1, 2), 0.25, 0.0),
+                                     ("MX", (2, 1), 0.75, 0.0)))
         assert table.lookup("MZ", (2, 1)).value == 0.25
         assert table.lookup("MX", (1, 2)).value == 0.75
         assert table.lookup("A", (1, 2)) is None

@@ -1,25 +1,30 @@
 """The input boundary: counts files and expectation tables share one JSON
-reader, and every malformed file is refused where it is read."""
+reader, every malformed file is refused where it is read, and every party
+set from outside obeys one rule."""
 
 import json
 import tempfile
 from pathlib import Path
 from string import Template
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from entstruct.cli import main
-from entstruct.errors import CountsFormatError
-from entstruct.inference import OBSERVABLES, TableEntry, load_expectation_table
+from entstruct.errors import CountsFormatError, UsageError
+from entstruct.inference import OBSERVABLES, ExpectationTable, load_expectation_table
 from entstruct.tomo import (
     SETTING_LABELS,
     MeasurementRecord,
     MeasurementSetting,
+    estimate_mz,
+    estimate_product_expectation,
     load_counts,
     save_counts,
 )
+from oracles import table_contents, table_dict
 
 # loader, key of the item list, noun naming an item, one valid n = 2 item
 LOADERS = {
@@ -156,8 +161,10 @@ def test_valid_table_values_are_stored_as_floats(tmp_path):
     path = tmp_path / "table.json"
     path.write_text('{"n": 2, "expectations": [{"observable": "MX", '
                     '"parties": [2, 1], "value": 1, "sigma": 0}]}')
-    entry = load_expectation_table(path).entries[0]
-    assert entry == TableEntry("MX", (1, 2), 1.0, 0.0)
+    table = load_expectation_table(path)
+    assert table_contents(table) == {("MX", (1, 2)): (1.0, 0.0)}
+    assert table.value.dtype == table.sigma.dtype == np.float64
+    entry = table.lookup("MX", (1, 2))
     assert type(entry.value) is float and type(entry.sigma) is float
 
 
@@ -212,6 +219,107 @@ def test_table_read_back_from_json_gives_equal_entries(doc):
         path.write_text(json.dumps(doc))
         table = load_expectation_table(path)
     assert table.n == doc["n"]
-    assert table.entries == tuple(
-        TableEntry(e["observable"], e["parties"], e["value"], e.get("sigma", 0.0))
+    assert table_contents(table) == table_dict(
+        (e["observable"], e["parties"], e["value"], e.get("sigma", 0.0))
         for e in doc["expectations"])
+
+
+def _z_record():
+    return MeasurementRecord(MeasurementSetting.uniform("Z", 3), {"000": 3, "110": 1})
+
+
+# Every place that takes a party set from outside applies one rule.
+PARTY_ENTRY_POINTS = {
+    "table_row": lambda parties: ExpectationTable(3, [("MZ", parties, 0.5, 0.0)]),
+    "lookup": lambda parties: ExpectationTable(3, [("MZ", (1, 2), 0.5, 0.0)]).lookup(
+        "MZ", parties),
+    "estimate_mz": lambda parties: estimate_mz(_z_record(), parties),
+    "estimate_product_expectation": lambda parties: estimate_product_expectation(
+        _z_record(), parties),
+}
+REJECTED_PARTIES = {
+    "float": (2.7, 1),
+    "integral_float": (2.0, 1),
+    "numpy_float": (np.float64(2.0), 1),
+    "bool": (True, 2),
+    "numpy_bool": (np.True_, 2),
+    "repeated": (1, 1),
+    "repeated_numpy": (np.int64(2), 2),
+    "string": "12",
+    "string_items": ("1", "2"),
+    "scalar": 2,
+    "none": None,
+    "empty": (),
+    "zero": (0, 1),
+    "negative": (-1, 2),
+}
+
+
+@pytest.mark.parametrize("form", REJECTED_PARTIES)
+@pytest.mark.parametrize("entry", PARTY_ENTRY_POINTS)
+def test_party_rule_refuses_each_malformed_set(entry, form):
+    with pytest.raises(UsageError, match="parties must be distinct positive integers"):
+        PARTY_ENTRY_POINTS[entry](REJECTED_PARTIES[form])
+
+
+@pytest.mark.parametrize("entry", PARTY_ENTRY_POINTS)
+def test_party_rule_takes_numpy_integers_in_any_order(entry):
+    call = PARTY_ENTRY_POINTS[entry]
+    got, want = call((np.int32(2), np.int64(1))), call((1, 2))
+    if entry == "table_row":
+        got, want = table_contents(got), table_contents(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("entry", ["lookup", "estimate_mz", "estimate_product_expectation"])
+def test_parties_beyond_n_are_refused(entry):
+    with pytest.raises(UsageError, match=r"parties \(1, 4\) outside 1\.\.3"):
+        PARTY_ENTRY_POINTS[entry]((4, 1))
+
+
+def test_table_row_beyond_n_is_a_table_rule():
+    with pytest.raises(UsageError, match=r"^expectation 0: entry MZ\(1, 4\) exceeds n=3$"):
+        PARTY_ENTRY_POINTS["table_row"]((4, 1))
+
+
+def test_lookup_refuses_an_unknown_observable():
+    table = ExpectationTable(2, [("MZ", (1, 2), 0.5, 0.0)])
+    with pytest.raises(UsageError, match="observable must be one of"):
+        table.lookup("MY", (1, 2))
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "2", None, 64])
+def test_table_n_is_an_integer_in_range(n):
+    with pytest.raises(UsageError, match=r"n must be an integer in 1\.\.63"):
+        ExpectationTable(n, [("MZ", (1,), 0.5, 0.0)])
+
+
+def test_table_n_takes_numpy_integers():
+    table = ExpectationTable(np.int64(63), [("MZ", (63, 1), 0.5, 0.0)])
+    assert type(table.n) is int and table.n == 63
+    assert table.lookup("MZ", (1, 63)) == (0.5, 0.0)
+
+
+def test_table_columns_are_read_only():
+    table = ExpectationTable(2, [("MZ", (1, 2), 0.5, 0.0)])
+    with pytest.raises(ValueError):
+        table.value[0] = 0.9
+
+
+_OK = {"observable": "MZ", "parties": [1, 2], "value": 0.5}
+_BEYOND = {"observable": "MX", "parties": [1, 3], "value": 0.5}
+
+
+@pytest.mark.parametrize("items,named", [
+    # the reader checks every item's shape before any row rule
+    ([{**_OK, "value": 5.0}, 5], "expectation 1: must be an object"),
+    # row rules run on every row before the table rules
+    ([_BEYOND, {**_OK, "value": "x"}], "expectation 1: value must be a real number"),
+    # of the table rules, entries beyond n are checked before repeats
+    ([_OK, {**_OK, "parties": [2, 1]}, _BEYOND], r"expectation 2: entry MX\(1, 3\) exceeds n=2"),
+], ids=["shape_before_row", "row_before_table", "beyond_before_repeat"])
+def test_file_with_two_faults_names_the_first_by_rule_order(tmp_path, items, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "expectations": items}))
+    with pytest.raises(CountsFormatError, match=f"^{path}: {named}"):
+        load_expectation_table(path)

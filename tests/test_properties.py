@@ -1,6 +1,8 @@
 """Properties of the decision path, of the factored witness evaluator,
-of the see-saw's block update and of the counts estimators, checked over
-generated inputs."""
+of the see-saw's block update, of the counts estimators and of the
+expectation table's columns, checked over generated inputs."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from entstruct.bounds import (
     terms_expectation,
 )
 from entstruct.inference import (
+    OBSERVABLES,
     ExpectationTable,
     InferenceConfig,
-    TableEntry,
     infer_structure,
+    subset_witness_scan,
 )
 from entstruct.errors import UsageError, ValidationError
 from entstruct.states import Partition, StateDensity, product_structure
@@ -41,7 +44,15 @@ from entstruct.witnesses import (
     msep_bound,
     separability_witness_value,
 )
-from oracles import dense_value, group_operators, mz_loop, product_expectation_loop
+from oracles import (
+    dense_value,
+    dict_scan,
+    group_operators,
+    mz_loop,
+    product_expectation_loop,
+    table_contents,
+    table_dict,
+)
 
 values = st.floats(-1.0, 1.0)
 sigmas = st.floats(0.0, 0.3)
@@ -83,10 +94,10 @@ def test_inference_steps_match_library_bounds(sep, dep, n, conf, grid):
     assume(not wv.value > msep_bound(cfg.scan_alpha, 2) + conf * wv.sigma)
     full = tuple(range(1, n + 1))
     table = ExpectationTable(n, (
-        TableEntry("MZ", full, sep.value_z_or_a, sep.sigma_z_or_a),
-        TableEntry("MX", full, sep.value_x_or_aprime, sep.sigma_x_or_aprime),
-        TableEntry("A", full, dep.value_z_or_a, dep.sigma_z_or_a),
-        TableEntry("APRIME", full, dep.value_x_or_aprime, dep.sigma_x_or_aprime),
+        ("MZ", full, sep.value_z_or_a, sep.sigma_z_or_a),
+        ("MX", full, sep.value_x_or_aprime, sep.sigma_x_or_aprime),
+        ("A", full, dep.value_z_or_a, dep.sigma_z_or_a),
+        ("APRIME", full, dep.value_x_or_aprime, dep.sigma_x_or_aprime),
     ))
     report = infer_structure(table, cfg)
     assert not report.gme
@@ -219,3 +230,41 @@ def test_array_estimators_equal_string_loops(case):
     if z_subset:
         assert (outcome_of(estimate_mz, record, z_subset)
                 == outcome_of(mz_loop, record, z_subset))
+
+
+@st.composite
+def sparse_tables(draw):
+    """(n, rows) of a valid table on n = 1..10 parties: each (observable,
+    party set) is present at random, its parties in a random order, as
+    Python or numpy integers, and the rows come in a random order."""
+    n = draw(st.integers(1, 10))
+    density = draw(st.sampled_from((0.05, 0.5, 0.95, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for observable in OBSERVABLES:
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                if rng.random() < density:
+                    parties = rng.permutation(subset)
+                    sigma = float(rng.uniform(0.0, 0.3)) if rng.random() < 0.8 else 0.0
+                    rows.append((observable,
+                                 tuple(parties) if rng.random() < 0.5 else parties.tolist(),
+                                 float(rng.uniform(-1.0, 1.0)), sigma))
+    return n, [rows[i] for i in rng.permutation(len(rows))]
+
+
+@given(sparse_tables(), st.floats(0.05, 2.0), st.floats(0.0, 3.0))
+def test_table_columns_answer_as_a_plain_dict(table, alpha, confidence):
+    n, rows = table
+    columns, entries = ExpectationTable(n, rows), table_dict(rows)
+    assert table_contents(columns) == entries
+    for observable in OBSERVABLES:
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                got = columns.lookup(observable, subset[::-1])
+                want = entries.get((observable, subset))
+                assert (got is None and want is None) or tuple(got) == want
+    for size in range(2, n + 1):
+        got = [(r.subset, r.witness, r.value, r.sigma, r.bound, r.verdict)
+               for r in subset_witness_scan(columns, size, alpha, confidence)]
+        assert got == dict_scan(entries, n, size, alpha, confidence)
